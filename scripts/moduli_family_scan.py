@@ -8,12 +8,10 @@ Usage: python3 scripts/moduli_family_scan.py [--samples 12] [--seed 3]
 
 import argparse
 import random
-import sys
 from fractions import Fraction
 
-sys.path.insert(0, "tests")
-
 from quivercoh import stability
+from quivercoh.generate import ex73_rep
 
 
 def main():
@@ -21,8 +19,6 @@ def main():
     parser.add_argument("--samples", type=int, default=12)
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
-
-    from conftest import ex73_rep
 
     rng = random.Random(args.seed)
 

@@ -10,13 +10,11 @@ Usage: python3 scripts/random_complex_experiment.py [--space gr:1,3]
 
 import argparse
 import random
-import sys
-
-sys.path.insert(0, "tests")
 
 from quivercoh import cohomology, quiver
 from quivercoh.bott import chamber_key, chamber_vertices
 from quivercoh.cli import parse_space
+from quivercoh.generate import random_rep
 
 
 def main():
@@ -25,8 +23,6 @@ def main():
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
-
-    from conftest import random_rep
 
     space = parse_space(args.space)
     rng = random.Random(args.seed)

@@ -227,7 +227,7 @@ def build_complex(
     return CohomologyComplex(space, tuple(classes), max_steps, is_complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     degree: int
     nu: Weight
@@ -235,7 +235,7 @@ class TableRow:
     dim: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohomologyTable:
     space: Space
     rows: tuple[TableRow, ...]
@@ -257,17 +257,23 @@ class CohomologyTable:
         return not self.rows
 
 
+@lru_cache(maxsize=None)
+def _module(space: Space, nu: Weight) -> tuple[Weight, int]:
+    """nu and the dimension of its module, one shared nu per value so that
+    kept tables do not each hold a copy."""
+    return nu, rootsys.module_dim(space, nu)
+
+
 def _homology_table(space: Space, complex_: CohomologyComplex) -> CohomologyTable:
     rows = []
     for cls in complex_.classes:
-        dim_nu = rootsys.module_dim(space, cls.nu)
+        nu, dim_nu = _module(space, cls.nu)
+        ranks = {d: linalg.rank(m) for d, m in cls.maps.items()}
         for d in cls.degrees:
             total = sum(dim for _, dim in cls.blocks[d])
-            rank_out = linalg.rank(cls.maps[d]) if d in cls.maps else 0
-            rank_in = linalg.rank(cls.maps[d - 1]) if d - 1 in cls.maps else 0
-            mult = total - rank_out - rank_in
+            mult = total - ranks.get(d, 0) - ranks.get(d - 1, 0)
             if mult:
-                rows.append(TableRow(d, cls.nu, mult, dim_nu))
+                rows.append(TableRow(d, nu, mult, dim_nu))
     rows.sort(key=lambda r: (r.degree, r.nu))
     return CohomologyTable(space, tuple(rows))
 

@@ -227,18 +227,6 @@ def solve(a: Matrix, b) -> Vector | None:
     return tuple(x)
 
 
-def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve a X = b columnwise; None if any column is inconsistent."""
-    cols = []
-    bt = transpose(b)
-    for col in bt:
-        x = solve(a, col)
-        if x is None:
-            return None
-        cols.append(x)
-    return transpose(mat(cols)) if cols else zeros(shape(a)[1], 0)
-
-
 class SpanBasis:
     """Incremental echelon basis of a subspace of Q^n (rows kept with a
     leading 1 at their pivot, supporting exact membership tests)."""

@@ -22,7 +22,7 @@ from . import linalg, rootsys
 from .errors import DomainError, InternalCheckError
 from .linalg import Matrix, mat, matmul, matvec
 from .quiver import relation_system
-from .rootsys import Space
+from .rootsys import Space, add_box, box_addable
 
 Shape = tuple[int, ...]
 
@@ -331,19 +331,6 @@ def realize(a: Shape, m: int) -> SchurRealization:
         assigned.append(by_content[w][k])
         counters[w] = k + 1
     return SchurRealization(a, m, ambient, basis, parents, weights, assigned)
-
-
-def add_box(a: Shape, row: int) -> Shape:
-    padded = list(a) + [0] * max(0, row - len(a))
-    padded[row - 1] += 1
-    return rootsys.check_partition(padded)
-
-
-def box_addable(a: Shape, row: int, m: int) -> bool:
-    if not 1 <= row <= m:
-        return False
-    padded = list(a) + [0] * max(0, row - len(a))
-    return row == 1 or padded[row - 1] + 1 <= padded[row - 2]
 
 
 def _product_weight(real: SchurRealization, i: int, t: int) -> tuple[int, ...]:

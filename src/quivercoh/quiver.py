@@ -6,10 +6,14 @@ a multiplicity space per vertex and an exact rational matrix per arrow.
 Missing arrows are zero matrices; representations are stored sparsely
 and are immutable after construction.
 
-The quadratic relations a representation must satisfy are generated
-lazily per (source, two-box target).  Their coefficients are rational
-functions of the source shape; the pieri module verifies them against a
-brute-force equivariant construction.
+This module is the one place that walks the quadratic relations of a
+representation: check_relations evaluates the walk and relation_jacobian
+linearizes it.  The coefficients of a relation depend only on the rows
+(p1, p2, q1, q2) of the two boxes and on ptilde, qtilde of the source
+shape, so they are interned under that key.  Input is validated at the
+boundary (make_rep, rep_from_json, the public relation_system); the walk
+trusts the representation it is given.  The pieri module verifies the
+coefficients against a brute-force equivariant construction.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import product
 
 from . import linalg, rootsys
 from .errors import DomainError, ParseError
@@ -26,13 +32,13 @@ from .rootsys import BundleShape, Space, Weight
 Box = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     weight: Weight
     dim: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     src: int
     dst: int
@@ -46,18 +52,19 @@ class QuiverRep:
     vertices: tuple[Vertex, ...]
     arrows: tuple[Arrow, ...]
 
+    @cached_property
+    def _index(self) -> dict[Weight, int]:
+        return {v.weight: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _matrices(self) -> dict[tuple[int, int], Matrix]:
+        return {(a.src, a.dst): a.matrix for a in self.arrows}
+
     def vertex_index(self, weight) -> int | None:
-        w = tuple(weight)
-        for i, v in enumerate(self.vertices):
-            if v.weight == w:
-                return i
-        return None
+        return self._index.get(tuple(weight))
 
     def arrow_matrix(self, src: int, dst: int) -> Matrix | None:
-        for a in self.arrows:
-            if a.src == src and a.dst == dst:
-                return a.matrix
-        return None
+        return self._matrices.get((src, dst))
 
     def dims(self) -> tuple[int, ...]:
         return tuple(v.dim for v in self.vertices)
@@ -69,26 +76,11 @@ def arrows_from(space: Space, w) -> list[tuple[Box, Weight]]:
     sh = rootsys.weight_to_shape(space, w)
     out = []
     for p, q in rootsys.omega1_boxes(space):
-        if _box_addable(sh.alpha, p, space.k + 1) and _box_addable(
+        if rootsys.box_addable(sh.alpha, p, space.k + 1) and rootsys.box_addable(
             sh.beta, q, space.n - space.k
         ):
             out.append(((p, q), rootsys.wadd(w, rootsys.box_weight(space, p, q))))
     return out
-
-
-def _box_addable(part: tuple[int, ...], row: int, nrows: int) -> bool:
-    if row > nrows:
-        return False
-    padded = list(part) + [0] * (nrows - len(part))
-    if row == 1:
-        return True
-    return padded[row - 1] + 1 <= padded[row - 2]
-
-
-def _add_box(part: tuple[int, ...], row: int) -> tuple[int, ...]:
-    padded = list(part) + [0] * max(0, row - len(part))
-    padded[row - 1] += 1
-    return tuple(padded)
 
 
 def make_rep(space: Space, vertices, arrows) -> QuiverRep:
@@ -102,8 +94,8 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
     raw_vertices = [(rootsys.require_d1(space, w), int(d)) for w, d in vertices]
     if any(d < 1 for _, d in raw_vertices):
         raise DomainError("vertex multiplicities must be >= 1")
-    weights = [w for w, _ in raw_vertices]
-    if len(set(weights)) != len(weights):
+    weights = {w: i for i, (w, _) in enumerate(raw_vertices)}
+    if len(weights) != len(raw_vertices):
         raise DomainError("duplicate vertex weights")
     classes = {rootsys.component_class(space, w) for w in weights}
     if len(classes) > 1:
@@ -119,13 +111,15 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
     for entry in arrows:
         if len(entry) == 3:
             src_w, box, matrix = entry
-            src_old = weights.index(rootsys.check_weight(space, src_w))
-            dst_w = rootsys.wadd(weights[src_old], rootsys.box_weight(space, *box))
-            if dst_w not in weights:
-                raise DomainError(f"arrow target {dst_w} is not a vertex")
-            dst_old = weights.index(dst_w)
+            src_w = rootsys.check_weight(space, src_w)
+            dst_w = rootsys.wadd(src_w, rootsys.box_weight(space, *box))
+            if src_w not in weights or dst_w not in weights:
+                raise DomainError(f"arrow {src_w} -> {dst_w} leaves the vertices")
+            src_old, dst_old = weights[src_w], weights[dst_w]
         else:
             src_old, dst_old, box, matrix = entry
+            if src_old not in old_to_new or dst_old not in old_to_new:
+                raise DomainError(f"arrow {src_old} -> {dst_old}: no such vertex index")
         box = (int(box[0]), int(box[1]))
         src = old_to_new[src_old]
         dst = old_to_new[dst_old]
@@ -135,7 +129,8 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
                 f"arrow {sw} -> {dw} does not match box pair {box}"
             )
         matrix = mat(matrix)
-        if linalg.shape(matrix) != (new_vertices[dst].dim, new_vertices[src].dim):
+        rows, cols = new_vertices[dst].dim, new_vertices[src].dim
+        if len(matrix) != rows or any(len(row) != cols for row in matrix):
             raise DomainError(f"arrow matrix shape mismatch at {sw} -> {dw}")
         if (src, dst) in seen_pairs:
             raise DomainError(f"duplicate arrow {sw} -> {dw}")
@@ -158,20 +153,17 @@ class RelationEquation:
 def double_additions(space: Space, w) -> list[tuple[Box, Box]]:
     """All unordered valid double box additions from w, as pairs of box
     pairs ((p1, q1), (p2, q2)) with p1 <= p2 and q1 <= q2."""
-    sh = rootsys.weight_to_shape(space, w)
-    ka, kb = space.k + 1, space.n - space.k
-    alpha_pairs = _double_rows(sh.alpha, ka)
-    beta_pairs = _double_rows(sh.beta, kb)
+    alpha, beta = rootsys.shape_rows(space, rootsys.require_d1(space, w))
     return [
         ((p1, q1), (p2, q2))
-        for p1, p2 in alpha_pairs
-        for q1, q2 in beta_pairs
+        for (p1, p2), (q1, q2) in product(_double_rows(alpha), _double_rows(beta))
     ]
 
 
-def _double_rows(part: tuple[int, ...], nrows: int) -> list[tuple[int, int]]:
+def _double_rows(padded: Weight) -> list[tuple[int, int]]:
+    """Row pairs r1 <= r2 where two boxes fit into the padded partition."""
     out = []
-    padded = list(part) + [0] * (nrows - len(part))
+    nrows = len(padded)
     for r1 in range(1, nrows + 1):
         for r2 in range(r1, nrows + 1):
             rows = list(padded)
@@ -182,106 +174,102 @@ def _double_rows(part: tuple[int, ...], nrows: int) -> list[tuple[int, int]]:
     return out
 
 
+def _gap(padded: Weight, r1: int, r2: int) -> int:
+    return padded[r1 - 1] - padded[r2 - 1] + r2 - r1
+
+
 def _tilde(space: Space, sh: BundleShape, r1: int, r2: int, side: str) -> int:
     part = sh.alpha if side == "alpha" else sh.beta
     nrows = space.k + 1 if side == "alpha" else space.n - space.k
-    padded = list(part) + [0] * (nrows - len(part))
-    return padded[r1 - 1] - padded[r2 - 1] + r2 - r1
+    return _gap(tuple(part) + (0,) * (nrows - len(part)), r1, r2)
 
 
 def relation_system(space: Space, w, boxes) -> list[RelationEquation]:
     """The quadratic relations binding the two-step paths from w through
-    the given unordered pair of box pairs.
-
-    Case analysis on ptilde = alpha_{p1} - alpha_{p2} + p2 - p1 and
-    qtilde likewise for beta: two equations when both exceed 1 and the
-    rows are distinct on both sides, down to none when both equal 1.
-    """
+    the given unordered pair of box pairs."""
     (pa, qa), (pb, qb) = boxes
     p1, p2 = min(pa, pb), max(pa, pb)
     q1, q2 = min(qa, qb), max(qa, qb)
     w = rootsys.require_d1(space, w)
-    sh = rootsys.weight_to_shape(space, w)
-    alpha2 = _add_box(_add_box(sh.alpha, p1), p2)
-    beta2 = _add_box(_add_box(sh.beta, q1), q2)
-    try:
-        target_shape = rootsys.make_shape(space, alpha2, beta2, sh.t)
-    except DomainError as exc:
-        raise DomainError(f"invalid double box addition {boxes} from {w}: {exc}")
-    target = rootsys.shape_to_weight(space, target_shape)
-
-    one = Fraction(1)
-
-    def eq(terms):
-        return RelationEquation(w, target, tuple(terms))
-
-    if p1 == p2 and q1 == q2:
-        return []
-    if p1 == p2:
-        qt = _tilde(space, sh, q1, q2, "beta")
-        p = p1
-        if qt == 1:
-            return [eq([((p, q1), (p, q2), one)])]
-        return [
-            eq(
-                [
-                    ((p, q1), (p, q2), Fraction(1 + qt, qt)),
-                    ((p, q2), (p, q1), -one),
-                ]
-            )
-        ]
-    if q1 == q2:
-        pt = _tilde(space, sh, p1, p2, "alpha")
-        q = q1
-        if pt == 1:
-            return [eq([((p1, q), (p2, q), one)])]
-        return [
-            eq(
-                [
-                    ((p1, q), (p2, q), Fraction(1 + pt, pt)),
-                    ((p2, q), (p1, q), -one),
-                ]
-            )
-        ]
-    pt = _tilde(space, sh, p1, p2, "alpha")
-    qt = _tilde(space, sh, q1, q2, "beta")
-    if pt == 1 and qt == 1:
-        return []
-    if pt == 1:
-        return [
-            eq(
-                [
-                    ((p1, q1), (p2, q2), Fraction(1, qt) - 1),
-                    ((p1, q2), (p2, q1), -one),
-                ]
-            )
-        ]
-    if qt == 1:
-        return [
-            eq(
-                [
-                    ((p1, q1), (p2, q2), 1 - Fraction(1, pt)),
-                    ((p2, q1), (p1, q2), one),
-                ]
-            )
-        ]
+    target = rootsys.wadd(
+        rootsys.wadd(w, rootsys.box_weight(space, p1, q1)),
+        rootsys.box_weight(space, p2, q2),
+    )
+    if not rootsys.in_d1(space, target):
+        raise DomainError(f"invalid double box addition {boxes} from {w}")
+    alpha, beta = rootsys.shape_rows(space, w)
     return [
-        eq(
-            [
-                ((p1, q1), (p2, q2), Fraction(1, qt) - Fraction(1, pt)),
-                ((p1, q2), (p2, q1), -one),
-                ((p2, q1), (p1, q2), one),
-            ]
-        ),
-        eq(
-            [
-                ((p1, q1), (p2, q2), Fraction(1, pt * qt) - 1),
-                ((p1, q2), (p2, q1), -Fraction(1, pt)),
-                ((p2, q1), (p1, q2), -Fraction(1, qt)),
-                ((p2, q2), (p1, q1), one),
-            ]
-        ),
+        RelationEquation(w, target, terms)
+        for terms in _relation_terms(
+            p1, p2, q1, q2, _gap(alpha, p1, p2), _gap(beta, q1, q2)
+        )
     ]
+
+
+@lru_cache(maxsize=None)
+def _relation_terms(p1: int, p2: int, q1: int, q2: int, pt: int, qt: int):
+    """Terms of each relation through the rows p1 <= p2, q1 <= q2, given
+    ptilde = alpha_{p1} - alpha_{p2} + p2 - p1 and qtilde likewise for
+    beta: two equations when both exceed 1 and the rows are distinct on
+    both sides, down to none when both equal 1."""
+    one = Fraction(1)
+    a, b = (p1, q1), (p2, q2)
+    if a == b:
+        return ()
+    if p1 == p2 or q1 == q2:
+        t = qt if p1 == p2 else pt
+        if t == 1:
+            return (((a, b, one),),)
+        return (((a, b, Fraction(1 + t, t)), (b, a, -one)),)
+    c, d = (p1, q2), (p2, q1)
+    if pt == 1 and qt == 1:
+        return ()
+    if pt == 1:
+        return (((a, b, Fraction(1, qt) - 1), (c, d, -one)),)
+    if qt == 1:
+        return (((a, b, 1 - Fraction(1, pt)), (d, c, one)),)
+    return (
+        ((a, b, Fraction(1, qt) - Fraction(1, pt)), (c, d, -one), (d, c, one)),
+        (
+            (a, b, Fraction(1, pt * qt) - 1),
+            (c, d, -Fraction(1, pt)),
+            (d, c, -Fraction(1, qt)),
+            (b, a, one),
+        ),
+    )
+
+
+def _relations(rep: QuiverRep):
+    """Walk every relation of rep whose target and at least one middle
+    vertex lie in the support, in vertex, box and equation order.
+
+    Yields (src, tgt, terms, paths): terms as in RelationEquation, paths
+    the (mid, coeff) of the terms whose middle vertex is present.
+    """
+    space = rep.space
+    index = rep._index
+    shift = dict(zip(rootsys.omega1_boxes(space), rootsys.omega1_weights(space)))
+    wadd = rootsys.wadd
+    for src, v in enumerate(rep.vertices):
+        w = v.weight
+        alpha, beta = rootsys.shape_rows(space, w)
+        for (p1, p2), (q1, q2) in product(_double_rows(alpha), _double_rows(beta)):
+            equations = _relation_terms(
+                p1, p2, q1, q2, _gap(alpha, p1, p2), _gap(beta, q1, q2)
+            )
+            if not equations:
+                continue
+            tgt = index.get(wadd(wadd(w, shift[(p1, q1)]), shift[(p2, q2)]))
+            if tgt is None:
+                continue
+            for terms in equations:
+                paths = []
+                for first, _, coeff in terms:
+                    mid = index.get(wadd(w, shift[first]))
+                    if mid is not None:
+                        paths.append((mid, coeff))
+                if paths:
+                    yield src, tgt, terms, paths
 
 
 @dataclass(frozen=True)
@@ -296,17 +284,12 @@ def _path_product(rep: QuiverRep, src: int, first: Box, second: Box) -> Matrix |
     """Matrix of (second arrow) o (first arrow) from vertex src, or None
     when the path leaves the support."""
     space = rep.space
-    w = rep.vertices[src].weight
-    mid_w = rootsys.wadd(w, rootsys.box_weight(space, *first))
+    mid_w = rootsys.wadd(rep.vertices[src].weight, rootsys.box_weight(space, *first))
     mid = rep.vertex_index(mid_w)
-    if mid is None:
+    end = rep.vertex_index(rootsys.wadd(mid_w, rootsys.box_weight(space, *second)))
+    if mid is None or end is None:
         return None
-    end_w = rootsys.wadd(mid_w, rootsys.box_weight(space, *second))
-    end = rep.vertex_index(end_w)
-    if end is None:
-        return None
-    m1 = rep.arrow_matrix(src, mid)
-    m2 = rep.arrow_matrix(mid, end)
+    m1, m2 = rep.arrow_matrix(src, mid), rep.arrow_matrix(mid, end)
     if m1 is None or m2 is None:
         return zeros(rep.vertices[end].dim, rep.vertices[src].dim)
     return matmul(m2, m1)
@@ -316,20 +299,60 @@ def check_relations(rep: QuiverRep) -> list[Violation]:
     """Evaluate every relation over the representation; missing arrows
     count as zero.  Empty list means the representation is valid."""
     out = []
-    space = rep.space
-    for src, v in enumerate(rep.vertices):
-        for boxes in double_additions(space, v.weight):
-            for equation in relation_system(space, v.weight, boxes):
-                tgt = rep.vertex_index(equation.target)
-                if tgt is None:
-                    continue
-                total = zeros(rep.vertices[tgt].dim, v.dim)
-                for first, second, coeff in equation.terms:
-                    prod = _path_product(rep, src, first, second)
-                    if prod is not None:
-                        total = linalg.madd(total, linalg.mscale(coeff, prod))
-                if not linalg.is_zero_matrix(total):
-                    out.append(Violation(v.weight, equation.target, equation, total))
+    arrows = rep._matrices
+    vertices = rep.vertices
+    for src, tgt, terms, paths in _relations(rep):
+        total = zeros(vertices[tgt].dim, vertices[src].dim)
+        for mid, coeff in paths:
+            m1 = arrows.get((src, mid))
+            m2 = arrows.get((mid, tgt))
+            if m1 is not None and m2 is not None:
+                total = linalg.madd(total, linalg.mscale(coeff, matmul(m2, m1)))
+        if not linalg.is_zero_matrix(total):
+            source, target = vertices[src].weight, vertices[tgt].weight
+            out.append(
+                Violation(source, target, RelationEquation(source, target, terms), total)
+            )
+    return out
+
+
+def relation_jacobian(rep: QuiverRep, slots) -> list[list[Fraction]]:
+    """Derivative of the relations at rep with respect to the arrow
+    matrices in slots.
+
+    slots is a sequence of (src, dst) vertex index pairs; each slot owns
+    a row-major dst x src block of the columns, in the given order.  The
+    rows are those of check_relations' walk, one row-major tgt x src
+    block per relation; arrows outside the slots are held fixed, and
+    missing arrows read as zero.
+    """
+    dims = rep.dims()
+    arrows = rep._matrices
+    offsets = {}
+    total = 0
+    for i, j in slots:
+        offsets[(i, j)] = total
+        total += dims[j] * dims[i]
+    zero = Fraction(0)
+    out: list[list[Fraction]] = []
+    for src, tgt, _, paths in _relations(rep):
+        rows, cols = dims[tgt], dims[src]
+        block = [[zero] * total for _ in range(rows * cols)]
+        for mid, coeff in paths:
+            dmid = dims[mid]
+            # coeff * second . first moves with second as (. first) and
+            # with first as (second .)
+            off2, m1 = offsets.get((mid, tgt)), arrows.get((src, mid))
+            off1, m2 = offsets.get((src, mid)), arrows.get((mid, tgt))
+            for r in range(rows):
+                for c in range(cols):
+                    row = block[r * cols + c]
+                    for x in range(dmid):
+                        if off2 is not None and m1 is not None:
+                            row[off2 + r * dmid + x] += coeff * m1[x][c]
+                        if off1 is not None and m2 is not None:
+                            row[off1 + x * cols + c] += coeff * m2[r][x]
+        out.extend(block)
     return out
 
 
@@ -579,6 +602,8 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ParseError(f"bad rational {text!r}: expected a string such as \"-1/2\"")
     text = text.strip()
     try:
         if "/" in text:
@@ -621,12 +646,14 @@ def rep_from_json(text: str) -> QuiverRep:
             (tuple(int(c) for c in v["weight"]), int(v["dim"]))
             for v in data["vertices"]
         ]
+        # one Fraction per distinct entry text keeps parsed matrices small
+        entry = lru_cache(maxsize=None)(parse_frac)
         arrows = [
             (
                 int(a["from"]),
                 int(a["to"]),
                 (int(a["box"][0]), int(a["box"][1])),
-                [[parse_frac(x) for x in row] for row in a["matrix"]],
+                [[entry(x) for x in row] for row in a["matrix"]],
             )
             for a in data.get("arrows", [])
         ]

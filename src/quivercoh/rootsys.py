@@ -270,13 +270,35 @@ def shape_to_weight(space: Space, sh: BundleShape) -> Weight:
     return tuple(w)
 
 
-def weight_to_shape(space: Space, w) -> BundleShape:
-    w = require_d1(space, w)
+def shape_rows(space: Space, w: Weight) -> tuple[Weight, Weight]:
+    """Rows of alpha and beta of a D_1 weight, padded to k+1 and n-k rows
+    (the last row of each is 0).  No validation: callers pass weights
+    already checked at the boundary."""
     k, n = space.k, space.n
     alpha = tuple(sum(w[:k + 1 - j]) for j in range(1, k + 2))
     beta = tuple(sum(w[k + j:]) for j in range(1, n - k + 1))
-    t = w[k] + alpha[0] + beta[0]
-    return make_shape(space, alpha, beta, t)
+    return alpha, beta
+
+
+def weight_to_shape(space: Space, w) -> BundleShape:
+    w = require_d1(space, w)
+    alpha, beta = shape_rows(space, w)
+    return make_shape(space, alpha, beta, w[space.k] + alpha[0] + beta[0])
+
+
+def box_addable(part: tuple[int, ...], row: int, nrows: int) -> bool:
+    """Whether a box fits in the given row of a partition with at most
+    nrows rows."""
+    if not 1 <= row <= nrows:
+        return False
+    padded = list(part) + [0] * max(0, row - len(part))
+    return row == 1 or padded[row - 1] + 1 <= padded[row - 2]
+
+
+def add_box(part: tuple[int, ...], row: int) -> tuple[int, ...]:
+    padded = list(part) + [0] * max(0, row - len(part))
+    padded[row - 1] += 1
+    return check_partition(padded)
 
 
 def shape_rank(space: Space, sh: BundleShape) -> int:

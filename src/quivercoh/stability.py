@@ -27,8 +27,7 @@ from .quiver import (
     _closure_spans,
     arrows_from,
     check_relations,
-    double_additions,
-    relation_system,
+    relation_jacobian,
 )
 from .rootsys import Weight
 
@@ -195,65 +194,10 @@ def tangent_dim(rep: QuiverRep) -> int:
     violations = check_relations(rep)
     if violations:
         raise DomainError("tangent space is computed at valid points only")
-    space = rep.space
     dims = rep.dims()
     slots = _arrow_slots(rep)
-    offsets = {}
-    total = 0
-    for (i, j) in slots:
-        offsets[(i, j)] = total
-        total += dims[j] * dims[i]
-
-    def slot_matrix(i, j):
-        m = rep.arrow_matrix(i, j)
-        if m is None:
-            m = linalg.zeros(dims[j], dims[i])
-        return m
-
-    equations: list[list[Fraction]] = []
-    for src, v in enumerate(rep.vertices):
-        for boxes in double_additions(space, v.weight):
-            for equation in relation_system(space, v.weight, boxes):
-                tgt = rep.vertex_index(equation.target)
-                if tgt is None:
-                    continue
-                rows = dims[tgt]
-                cols = dims[src]
-                coeff_rows = [
-                    [Fraction(0)] * total for _ in range(rows * cols)
-                ]
-                touched = False
-                for first, second, coeff in equation.terms:
-                    mid_w = rootsys.wadd(
-                        v.weight, rootsys.box_weight(space, *first)
-                    )
-                    mid = rep.vertex_index(mid_w)
-                    if mid is None:
-                        continue
-                    end_w = rootsys.wadd(
-                        mid_w, rootsys.box_weight(space, *second)
-                    )
-                    if rep.vertex_index(end_w) != tgt:
-                        continue
-                    touched = True
-                    m1 = slot_matrix(src, mid)
-                    m2 = slot_matrix(mid, tgt)
-                    off1 = offsets[(src, mid)]
-                    off2 = offsets[(mid, tgt)]
-                    dmid = dims[mid]
-                    # d/d(delta2): coeff * delta2 m1 ; d/d(delta1): coeff * m2 delta1
-                    for r in range(rows):
-                        for c in range(cols):
-                            row = coeff_rows[r * cols + c]
-                            for x in range(dmid):
-                                row[off2 + r * dmid + x] += coeff * m1[x][c]
-                                row[off1 + x * cols + c] += coeff * m2[r][x]
-                if touched:
-                    equations.extend(coeff_rows)
-    if equations:
-        deformation = total - linalg.rank(mat(equations))
-    else:
-        deformation = total
+    total = sum(dims[j] * dims[i] for i, j in slots)
+    deformation = total - linalg.rank(mat(relation_jacobian(rep, slots)))
 
     end_dim = _endomorphism_dim(rep)
     gauge = sum(d * d for d in dims) - end_dim

@@ -1,0 +1,132 @@
+"""The relation layer: its linearization is the derivative of its
+evaluation, and malformed representations stop at the boundary."""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quivercoh import quiver, stability
+from quivercoh.errors import DomainError, ParseError
+from quivercoh.generate import random_rep
+from quivercoh.linalg import madd, mat, zeros
+
+from conftest import GR13, GR14, P2, P3
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _perturbed(rep, rng):
+    """rep with a random matrix added on every arrow slot of its support,
+    which in general leaves the relation variety."""
+    arrows = []
+    for i, v in enumerate(rep.vertices):
+        for box, target in quiver.arrows_from(rep.space, v.weight):
+            j = rep.vertex_index(target)
+            if j is None:
+                continue
+            old = rep.arrow_matrix(i, j) or zeros(rep.vertices[j].dim, v.dim)
+            noise = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in row] for row in old]
+            arrows.append((v.weight, box, madd(old, mat(noise))))
+    vertices = [(v.weight, v.dim) for v in rep.vertices]
+    perturbed = quiver.make_rep(rep.space, vertices, arrows)
+    return perturbed, stability._arrow_slots(perturbed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=st.sampled_from([P2, P3, GR13, GR14]), seed=st.integers(0, 10**6))
+def test_jacobian_is_derivative_of_evaluation(space, seed):
+    # relations are homogeneous quadratics, so J(x) x = 2 R(x) (Euler)
+    rng = random.Random(seed)
+    rep, slots = _perturbed(random_rep(space, rng, max_vertices=8), rng)
+    x = []
+    for i, j in slots:
+        x.extend(value for row in rep.arrow_matrix(i, j) for value in row)
+    jacobian = quiver.relation_jacobian(rep, slots)
+
+    found = {(v.source, v.target, v.equation.terms): v.residual for v in quiver.check_relations(rep)}
+    residuals = []
+    for src, tgt, terms, _ in quiver._relations(rep):
+        source, target = rep.vertices[src], rep.vertices[tgt]
+        residual = found.pop((source.weight, target.weight, terms), zeros(target.dim, source.dim))
+        residuals.extend(value for row in residual for value in row)
+    assert not found
+    assert len(jacobian) == len(residuals)
+    for row, residual in zip(jacobian, residuals):
+        assert len(row) == len(x)
+        assert sum(a * b for a, b in zip(row, x)) == 2 * residual
+
+
+def test_perturbation_leaves_the_variety():
+    rng = random.Random(3)
+    rep, _ = _perturbed(random_rep(GR13, rng, max_vertices=8), rng)
+    assert quiver.check_relations(rep)
+
+
+def _rep_text(arrow):
+    return json.dumps(
+        {
+            "space": {"k": 0, "n": 2},
+            "vertices": [
+                {"weight": [-2, 1], "dim": 2},
+                {"weight": [0, 0], "dim": 2},
+            ],
+            "arrows": [arrow],
+        }
+    )
+
+
+MALFORMED = {
+    "ragged_rows": (
+        _rep_text({"from": 1, "to": 0, "box": [1, 1], "matrix": [["1", "0"], ["0"]]}),
+        DomainError,
+    ),
+    "from_past_end": (
+        _rep_text({"from": 5, "to": 0, "box": [1, 1], "matrix": [["1", "0"], ["0", "1"]]}),
+        DomainError,
+    ),
+    "from_negative": (
+        _rep_text({"from": -1, "to": 0, "box": [1, 1], "matrix": [["1", "0"], ["0", "1"]]}),
+        DomainError,
+    ),
+    "number_entry": (
+        _rep_text({"from": 1, "to": 0, "box": [1, 1], "matrix": [[1, 0], [0, 1]]}),
+        ParseError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_rep_from_json_rejects(case):
+    text, error = MALFORMED[case]
+    with pytest.raises(error):
+        quiver.rep_from_json(text)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_check_rejects_without_traceback(case, tmp_path):
+    text, error = MALFORMED[case]
+    path = tmp_path / "rep.json"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivercoh.cli", "check", "--rep", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == (1 if error is DomainError else 2)
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_make_rep_rejects_unknown_source_weight():
+    with pytest.raises(DomainError):
+        quiver.make_rep(P2, [((0, 0), 1)], [((3, 0), (1, 1), [[1]])])
