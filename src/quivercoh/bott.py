@@ -184,13 +184,11 @@ def hasse_degree(space: Space) -> int:
 
 def components_count(cartan) -> int:
     """Number of connected components of the quiver of a space with the
-    given Cartan matrix: the absolute value of its determinant."""
+    given integer Cartan matrix: the absolute value of its determinant."""
     rows = mat(cartan)
     if any(len(r) != len(rows) for r in rows):
         raise DomainError("Cartan matrix must be square")
-    d = det(rows)
-    assert d.denominator == 1
-    return abs(int(d))
+    return abs(int(det(rows)))
 
 
 def cartan_matrix(letter: str, rank: int) -> list[list[int]]:

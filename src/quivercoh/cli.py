@@ -6,7 +6,8 @@ bundles may also be given as expressions like "S[2,1]U S[1]Q* O(3)".
 All output is deterministic; --json switches to machine form.
 
 Exit codes: 0 success, 1 domain errors (relation violations, weights
-outside D_1 where required), 2 parse or shape errors.
+outside D_1 where required), 2 parse or shape errors, 3 internal errors
+(a failed structural check: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ import sys
 from fractions import Fraction
 
 from . import bott, cohomology, pieri, quiver, rootsys, stability
-from .errors import DomainError, ParseError
+from .errors import DomainError, InternalCheckError, ParseError
 from .quiver import frac_str, parse_frac
 from .rootsys import BundleShape, Space
 
 
-def parse_space(text: str) -> Space:
+def parse_space(text: str | None) -> Space:
+    if text is None:
+        raise ParseError("need --space")
     text = text.strip().lower()
     m = re.fullmatch(r"p:(\d+)", text)
     if m:
@@ -34,11 +37,18 @@ def parse_space(text: str) -> Space:
     raise ParseError(f"bad space {text!r}; use p:n or gr:k,n")
 
 
-def parse_weight(space: Space, text: str):
+def _ints(text: str | None, what: str) -> tuple[int, ...]:
+    """Comma-separated integers from the flag --what."""
+    if text is None:
+        raise ParseError(f"need --{what}")
     try:
-        coords = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ParseError(f"bad weight {text!r}; use comma separated integers")
+        raise ParseError(f"bad {what} {text!r}; use comma separated integers")
+
+
+def parse_weight(space: Space, text: str):
+    coords = _ints(text, "weight")
     if len(coords) != space.rank:
         raise ParseError(
             f"weight {text!r} has {len(coords)} coordinates, expected {space.rank}"
@@ -101,12 +111,24 @@ def _weight_of(space: Space, args):
     raise ParseError("need --weight or --bundle")
 
 
-def _load_rep(path: str) -> quiver.QuiverRep:
+def _read_json(path: str, schema: str, convert):
+    """convert(the JSON content of a file).  A file that cannot be read,
+    bad JSON and a schema that convert rejects are all ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return quiver.rep_from_json(fh.read())
+            data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ParseError(f"bad JSON in {path}: {exc}")
+    try:
+        return convert(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {schema} schema in {path}: {exc!r}")
+
+
+def _load_rep(path: str) -> quiver.QuiverRep:
+    return _read_json(path, "representation", quiver.rep_from_data)
 
 
 def _weight_str(w) -> str:
@@ -186,10 +208,21 @@ def cmd_hasse(args) -> int:
     return 0
 
 
+def _parse_matrix(text: str) -> list[list[int]]:
+    try:
+        rows = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"bad --matrix JSON: {exc}")
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in rows
+    ):
+        raise ParseError("--matrix must be a JSON list of rows of integers")
+    return rows
+
+
 def cmd_components(args) -> int:
     if args.matrix:
-        rows = json.loads(args.matrix)
-        matrix = rows
+        matrix = _parse_matrix(args.matrix)
     else:
         if not args.type or not args.rank:
             raise ParseError("need --type and --rank, or --matrix")
@@ -275,10 +308,15 @@ def _character_for(args, rep) -> stability.Character:
     source = getattr(args, "character", "auto") or "auto"
     if source == "auto":
         return stability.canonical_character(rep)
-    with open(source, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    sigma = tuple((tuple(entry["weight"]), int(entry["value"])) for entry in data["sigma"])
-    return stability.Character(sigma, int(data.get("scale", 1)))
+
+    def convert(data):
+        sigma = tuple(
+            (tuple(entry["weight"]), int(entry["value"]))
+            for entry in data["sigma"]
+        )
+        return stability.Character(sigma, int(data.get("scale", 1)))
+
+    return _read_json(source, "character", convert)
 
 
 def cmd_stability(args) -> int:
@@ -296,12 +334,16 @@ def cmd_stability(args) -> int:
         return 0
     ch = _character_for(args, rep)
     if sub == "witness":
-        with open(args.witness, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        spans = [
-            [[parse_frac(x) for x in vec] for vec in vertex_spans]
-            for vertex_spans in data["spans"]
-        ]
+        if args.witness is None:
+            raise ParseError("need --witness")
+        spans = _read_json(
+            args.witness,
+            "witness",
+            lambda data: [
+                [[parse_frac(x) for x in vec] for vec in vertex_spans]
+                for vertex_spans in data["spans"]
+            ],
+        )
         if len(spans) != len(rep.vertices):
             raise ParseError("witness needs one span list per vertex")
         report = stability.check_witness(rep, spans, ch)
@@ -348,16 +390,18 @@ def cmd_stability(args) -> int:
 def cmd_oracle(args) -> int:
     sub = args.oracle_command
     if sub == "twostep":
-        a = tuple(int(x) for x in args.partition.split(",")) if args.partition else ()
-        i, j = (int(x) for x in args.rows.split(","))
-        c_ij, c_ji = pieri.two_step_coefficients(a, (i, j), args.m)
+        a = _ints(args.partition, "partition") if args.partition else ()
+        rows = _ints(args.rows, "rows")
+        if len(rows) != 2:
+            raise ParseError("rows must be i,j")
+        c_ij, c_ji = pieri.two_step_coefficients(a, rows, args.m)
         payload = {"c_ij": frac_str(c_ij), "c_ji": frac_str(c_ji)}
         _emit(args, payload, f"c_ij = {frac_str(c_ij)}, c_ji = {frac_str(c_ji)}")
         return 0
     if sub == "relations":
         space = parse_space(args.space)
         w = _weight_of(space, args)
-        nums = [int(x) for x in args.boxes.split(",")]
+        nums = _ints(args.boxes, "boxes")
         if len(nums) != 4:
             raise ParseError("boxes must be p1,q1,p2,q2")
         boxes = ((nums[0], nums[1]), (nums[2], nums[3]))
@@ -515,6 +559,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable tuples of tuples of Fraction.  Rank and determinant
-go through fraction-free Bareiss elimination on integer-cleared rows, so
-they stay exact with no intermediate coefficient blowup surprises at the
-sizes this package works with.  Kernels and solves use Gauss-Jordan over
-Fraction directly.
+Matrices are immutable tuples of tuples of Fraction.  Every elimination
+over Q goes through SpanBasis, an incremental echelon basis of sparse
+dict rows: rank and det insert a matrix's rows into one basis, rref
+back-reduces it, and nullspace and solve read their answers off the
+reduced rows.  solve_gf2 works apart, on bitsets over GF(2).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import gcd
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -76,127 +76,117 @@ def matvec(a: Matrix, v) -> Vector:
     return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
 
 
-def _integer_rows(a: Matrix) -> list[list[int]]:
-    """Scale each row to coprime integers; rank is unchanged."""
-    out = []
+def _sparse(v) -> dict[int, Fraction]:
+    return {j: frac(x) for j, x in enumerate(v) if x}
+
+
+def _eliminate(v: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
+    """v -= f * row in place, dropping entries that cancel."""
+    for j, y in row.items():
+        x = v.get(j, 0) - f * y
+        if x:
+            v[j] = x
+        else:
+            del v[j]
+
+
+class SpanBasis:
+    """Incremental echelon basis of a subspace of Q^width, the one
+    elimination routine over Q.  Rows are sparse {column: Fraction} dicts
+    with a leading 1 at their pivot; a new vector is reduced against the
+    rows in ascending pivot order and kept if anything is left."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.pivots: list[int] = []
+        self._rows: dict[int, dict[int, Fraction]] = {}
+
+    def insert(self, vec: dict[int, Fraction]) -> tuple[int, Fraction] | None:
+        """Insert a sparse vector; return its pivot and the value there
+        before scaling, or None if it already lies in the span."""
+        v = {j: x for j, x in vec.items() if x}
+        for p in self.pivots:
+            f = v.get(p)
+            if f:
+                _eliminate(v, f, self._rows[p])
+        if not v:
+            return None
+        pivot = min(v)
+        scale = v[pivot]
+        self._rows[pivot] = {j: x / scale for j, x in v.items()}
+        insort(self.pivots, pivot)
+        return pivot, scale
+
+    def add(self, v) -> bool:
+        """Insert a dense vector; True if it enlarged the span."""
+        return self.insert(_sparse(v)) is not None
+
+    def back_reduce(self) -> None:
+        """Clear each pivot column in the other rows: the rows become the
+        reduced row echelon form of the span."""
+        for i in reversed(range(len(self.pivots))):
+            row = self._rows[self.pivots[i]]
+            for p in self.pivots[i + 1 :]:
+                f = row.get(p)
+                if f:
+                    _eliminate(row, f, self._rows[p])
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def basis(self) -> list[Vector]:
+        zero = Fraction(0)
+        return [
+            tuple(self._rows[p].get(j, zero) for j in range(self.width))
+            for p in self.pivots
+        ]
+
+
+def _row_basis(a: Matrix) -> SpanBasis:
+    basis = SpanBasis(shape(a)[1])
     for row in a:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        ints = [int(x * lcm) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+        basis.add(row)
+    return basis
 
 
 def rank(a: Matrix) -> int:
-    """Rank by fraction-free Bareiss elimination."""
-    rows = _integer_rows(a)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rrc = rows[r][c]
-        for i in range(r + 1, m):
-            ric = rows[i][c]
-            rows[i] = [
-                (rrc * rows[i][j] - ric * rows[r][j]) // prev for j in range(n)
-            ]
-        prev = rrc
-        r += 1
-        if r == m:
-            break
-    return r
+    return _row_basis(a).dim
 
 
 def det(a: Matrix) -> Fraction:
-    """Exact determinant (Bareiss on integer-cleared rows)."""
+    """Exact determinant: the product of the pivot values met while the
+    rows are inserted, times the sign of the pivot order."""
     m, n = shape(a)
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    rows = []
+    basis = SpanBasis(n)
+    order = []
+    out = Fraction(1)
     for row in a:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        scale *= lcm
-        rows.append([int(x * lcm) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+        step = basis.insert(_sparse(row))
+        if step is None:
             return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            rows[i] = [
-                (rows[c][c] * rows[i][j] - rows[i][c] * rows[c][j]) // prev
-                for j in range(n)
-            ]
-        prev = rows[c][c]
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
+        order.append(step[0])
+        out *= step[1]
+    inversions = sum(p > q for i, p in enumerate(order) for q in order[i + 1 :])
+    return -out if inversions % 2 else out
 
 
 def rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
+    """Reduced row echelon form (zero rows last) and pivot column indices."""
     m, n = shape(a)
-    rows = [list(row) for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][c]
-        rows[r] = [x / scale for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    basis = _row_basis(a)
+    basis.back_reduce()
+    rows = [list(row) for row in basis.basis()]
+    rows += [[Fraction(0)] * n for _ in range(m - len(rows))]
+    return rows, list(basis.pivots)
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel, deterministic order (one vector per
     free column, free coordinate set to 1)."""
-    m, n = shape(a)
-    if n == 0:
-        return []
-    if m == 0:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)]
+    n = shape(a)[1]
     rows, pivots = rref(a)
     pivset = set(pivots)
     basis = []
@@ -213,56 +203,14 @@ def nullspace(a: Matrix) -> list[Vector]:
 
 def solve(a: Matrix, b) -> Vector | None:
     """One solution of a x = b (free coordinates zero), or None."""
-    m, n = shape(a)
-    aug = mat([list(row) + [bv] for row, bv in zip(a, b)])
-    rows, pivots = rref(aug)
-    for r in range(len(rows)):
-        lead = next((c for c in range(n + 1) if rows[r][c] != 0), None)
-        if lead == n:
-            return None
+    n = shape(a)[1]
+    rows, pivots = rref(mat([list(row) + [bv] for row, bv in zip(a, b)]))
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
     for r, c in enumerate(pivots):
-        if c < n:
-            x[c] = rows[r][n]
+        x[c] = rows[r][n]
     return tuple(x)
-
-
-class SpanBasis:
-    """Incremental echelon basis of a subspace of Q^n (rows kept with a
-    leading 1 at their pivot, supporting exact membership tests)."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self._rows: dict[int, list[Fraction]] = {}
-
-    def reduce(self, v) -> list[Fraction]:
-        v = [frac(x) for x in v]
-        for p in sorted(self._rows):
-            if v[p] != 0:
-                f = v[p]
-                row = self._rows[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, v) -> bool:
-        """Insert v; True if it enlarged the span."""
-        red = self.reduce(v)
-        pivot = next((i for i, x in enumerate(red) if x != 0), None)
-        if pivot is None:
-            return False
-        scale = red[pivot]
-        self._rows[pivot] = [x / scale for x in red]
-        return True
-
-    def contains(self, v) -> bool:
-        return all(x == 0 for x in self.reduce(v))
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def basis(self) -> list[Vector]:
-        return [tuple(self._rows[p]) for p in sorted(self._rows)]
 
 
 def solve_gf2(equations: list[tuple[tuple[int, ...], int]], nvars: int) -> list[int] | None:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import linalg, rootsys
 from .errors import DomainError, InternalCheckError
-from .linalg import Matrix, mat, matmul, matvec
+from .linalg import Matrix, SpanBasis, mat, matmul, matvec
 from .quiver import relation_system
 from .rootsys import Space, add_box, box_addable
 
@@ -120,31 +120,6 @@ class _Ambient:
                 j = self.index[new_elt]
                 out[j] = out.get(j, Fraction(0)) + coeff * mono[q]
         return {i: c for i, c in out.items() if c != 0}
-
-
-class _SparseEchelon:
-    """Echelon basis of sparse vectors keyed by smallest index pivot."""
-
-    def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}
-
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        vec = dict(vec)
-        for pivot in sorted(self.rows):
-            if pivot in vec and vec[pivot] != 0:
-                f = vec[pivot]
-                for j, x in self.rows[pivot].items():
-                    vec[j] = vec.get(j, Fraction(0)) - f * x
-        return {i: c for i, c in vec.items() if c != 0}
-
-    def add(self, vec) -> bool:
-        red = self.reduce(vec)
-        if not red:
-            return False
-        pivot = min(red)
-        scale = red[pivot]
-        self.rows[pivot] = {i: c / scale for i, c in red.items()}
-        return True
 
 
 @dataclass
@@ -291,10 +266,9 @@ def realize(a: Shape, m: int) -> SchurRealization:
     basis = [kappa]
     parents: list[tuple[int, int] | None] = [None]
     weights = [content]
-    echelons: dict[tuple[int, ...], _SparseEchelon] = {}
-    ech = _SparseEchelon()
-    ech.add(kappa)
-    echelons[content] = ech
+    # lowering leaves the highest weight, so its space needs no echelon
+    width = len(ambient.basis)
+    echelons: dict[tuple[int, ...], SpanBasis] = {}
 
     queue = [0]
     while queue:
@@ -307,8 +281,7 @@ def realize(a: Shape, m: int) -> SchurRealization:
             w[i - 1] -= 1
             w[i] += 1
             w = tuple(w)
-            ech = echelons.setdefault(w, _SparseEchelon())
-            if ech.add(image):
+            if echelons.setdefault(w, SpanBasis(width)).insert(image) is not None:
                 basis.append(image)
                 parents.append((j, i))
                 weights.append(w)

@@ -11,9 +11,10 @@ representation: check_relations evaluates the walk and relation_jacobian
 linearizes it.  The coefficients of a relation depend only on the rows
 (p1, p2, q1, q2) of the two boxes and on ptilde, qtilde of the source
 shape, so they are interned under that key.  Input is validated at the
-boundary (make_rep, rep_from_json, the public relation_system); the walk
-trusts the representation it is given.  The pieri module verifies the
-coefficients against a brute-force equivariant construction.
+boundary (make_rep, rep_from_json and rep_from_data, the public
+relation_system); the walk trusts the representation it is given.  The
+pieri module verifies the coefficients against a brute-force equivariant
+construction.
 """
 
 from __future__ import annotations
@@ -640,6 +641,11 @@ def rep_from_json(text: str) -> QuiverRep:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}")
+    return rep_from_data(data)
+
+
+def rep_from_data(data) -> QuiverRep:
+    """Representation from the parsed JSON form that rep_to_json writes."""
     try:
         space = Space(int(data["space"]["k"]), int(data["space"]["n"]))
         vertices = [

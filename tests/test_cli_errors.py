@@ -1,0 +1,91 @@
+"""Malformed command lines and input files end in one stderr line and
+the documented exit code, never in a traceback: an exception escaping
+main fails these tests."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from quivercoh import cohomology, quiver
+from quivercoh.cli import main
+from quivercoh.errors import InternalCheckError
+
+from conftest import P2, dual_euler_rep
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+FILES = {
+    "rep.json": quiver.rep_to_json(dual_euler_rep(P2)),
+    "list.json": "[]",
+    "sigma5.json": json.dumps({"sigma": 5}),
+    "broken.json": '{"spans": [',
+}
+
+# argv (files relative to the working directory) -> exit code
+CASES = {
+    "witness_list": (["stability", "witness", "--rep", "rep.json", "--witness", "list.json"], 2),
+    "witness_missing": (["stability", "witness", "--rep", "rep.json", "--witness", "nofile.json"], 2),
+    "witness_bad_json": (["stability", "witness", "--rep", "rep.json", "--witness", "broken.json"], 2),
+    "witness_flag_missing": (["stability", "witness", "--rep", "rep.json"], 2),
+    "character_missing": (["stability", "path", "--rep", "rep.json", "--character", "missing.json"], 2),
+    "character_sigma_int": (["stability", "path", "--rep", "rep.json", "--character", "sigma5.json"], 2),
+    "character_list": (["stability", "path", "--rep", "rep.json", "--character", "list.json"], 2),
+    "rep_list": (["cohomology", "--rep", "list.json"], 2),
+    "matrix_truncated": (["components", "--matrix", "[[2,"], 2),
+    "matrix_scalar": (["components", "--matrix", "5"], 2),
+    "matrix_string": (["components", "--matrix", '[["a"]]'], 2),
+    "matrix_float": (["components", "--matrix", "[[0.5]]"], 2),
+    "matrix_bool": (["components", "--matrix", "[[true]]"], 2),
+    "matrix_ragged": (["components", "--matrix", "[[1], [1, 2]]"], 1),
+    "twostep_no_rows": (["oracle", "twostep", "--partition", "2,1", "--m", "3"], 2),
+    "twostep_one_row": (["oracle", "twostep", "--rows", "1"], 2),
+    "relations_no_space": (["oracle", "relations", "--boxes", "1,1,2,2"], 2),
+}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rejected_with_one_line(case, workdir, capsys):
+    argv, code = CASES[case]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_rejected_in_a_process_without_traceback(workdir):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivercoh.cli", *CASES["witness_list"][0]],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_internal_error_exits_3(workdir, monkeypatch, capsys):
+    def broken(rep):
+        raise InternalCheckError("differential squares to nonzero")
+
+    monkeypatch.setattr(cohomology, "cohomology", broken)
+    assert main(["cohomology", "--rep", "rep.json"]) == 3
+    assert capsys.readouterr().err == "internal error: differential squares to nonzero\n"
+
+
+def test_integer_matrix_still_accepted(capsys):
+    assert main(["components", "--matrix", "[[2, -1], [-1, 2]]"]) == 0
+    assert capsys.readouterr().out == "3\n"

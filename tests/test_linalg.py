@@ -1,0 +1,115 @@
+"""The one elimination routine over Q: rank, det, rref, nullspace and
+solve all read their answers off a SpanBasis, and must agree with the
+definitions they implement."""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quivercoh.linalg import (
+    SpanBasis,
+    det,
+    mat,
+    matvec,
+    nullspace,
+    rank,
+    rref,
+    solve,
+    transpose,
+)
+
+ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def matrices(max_rows=5, max_cols=6, square=False):
+    def build(size):
+        m, n = size
+        row = st.lists(ENTRY, min_size=n, max_size=n)
+        return st.lists(row, min_size=m, max_size=m).map(mat)
+
+    sizes = st.tuples(st.integers(1, max_rows), st.integers(1, max_cols))
+    if square:
+        sizes = st.integers(1, max_rows).map(lambda n: (n, n))
+    return sizes.flatmap(build)
+
+
+def leibniz(a):
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_rank_kernel_and_solve(a, data):
+    n = len(a[0])
+    r = rank(a)
+    assert r == rank(transpose(a))
+
+    basis = SpanBasis(n)
+    for row in a:
+        basis.add(row)
+    assert basis.dim == r
+    if r:
+        # same row space, so the same (unique) reduced echelon form
+        assert rref(mat(basis.basis()))[0] == rref(a)[0][:r]
+
+    kernel = nullspace(a)
+    assert len(kernel) == n - r
+    for vec in kernel:
+        assert all(x == 0 for x in matvec(a, vec))
+    if kernel:
+        assert rank(mat(kernel)) == len(kernel)
+
+    x = data.draw(st.lists(ENTRY, min_size=n, max_size=n))
+    b = matvec(a, x)
+    found = solve(a, b)
+    assert found is not None and matvec(a, found) == b
+    # a nonzero left-kernel vector y is never in the column space: y.y != 0
+    left = nullspace(transpose(a))
+    if left:
+        assert solve(a, left[0]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_rows=4, square=True))
+def test_det_is_the_leibniz_expansion(a):
+    assert det(a) == leibniz(a)
+
+
+def test_span_basis_insert_reports_pivot_and_value():
+    basis = SpanBasis(3)
+    assert basis.insert({1: Fraction(2), 2: Fraction(4)}) == (1, Fraction(2))
+    assert basis.insert({1: Fraction(-1), 2: Fraction(-2)}) is None
+    assert basis.insert({0: Fraction(3), 1: Fraction(1)}) == (0, Fraction(3))
+    assert basis.basis() == [
+        (Fraction(1), Fraction(0), Fraction(-2, 3)),
+        (Fraction(0), Fraction(1), Fraction(2)),
+    ]
+
+
+def test_rref_keeps_zero_rows_last():
+    rows, pivots = rref(mat([[0, 2, 4], [0, 1, 2], [1, 0, 1]]))
+    assert pivots == [0, 1]
+    assert rows == [[1, 0, 1], [0, 1, 2], [0, 0, 0]]
+
+
+def test_edge_shapes():
+    assert det(()) == 1
+    assert nullspace(()) == []
+    assert solve((), ()) == ()
+    assert nullspace(mat([[0, 0]])) == [(1, 0), (0, 1)]
+    with pytest.raises(ValueError):
+        det(mat([[1, 2]]))
