@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import bott, cohomology, pieri, quiver, rootsys, stability
 from .errors import DomainError, InternalCheckError, ParseError
-from .quiver import frac_str, parse_frac
+from .quiver import frac_str, json_int, parse_frac
 from .rootsys import BundleShape, Space
 
 
@@ -311,10 +311,13 @@ def _character_for(args, rep) -> stability.Character:
 
     def convert(data):
         sigma = tuple(
-            (tuple(entry["weight"]), int(entry["value"]))
+            (
+                tuple(json_int(c) for c in entry["weight"]),
+                json_int(entry["value"]),
+            )
             for entry in data["sigma"]
         )
-        return stability.Character(sigma, int(data.get("scale", 1)))
+        return stability.Character(sigma, json_int(data.get("scale", 1)))
 
     return _read_json(source, "character", convert)
 

@@ -2,15 +2,17 @@
 
 Matrices are immutable tuples of tuples of Fraction.  Every elimination
 over Q goes through SpanBasis, an incremental echelon basis of sparse
-dict rows: rank and det insert a matrix's rows into one basis, rref
-back-reduces it, and nullspace and solve read their answers off the
-reduced rows.  solve_gf2 works apart, on bitsets over GF(2).
+primitive integer rows, reduced fraction-free: rank and det insert a
+matrix's rows into one basis, rref back-reduces it, and nullspace and
+solve read their answers off the reduced rows, scaled back to leading
+1s.  solve_gf2 works apart, on bitsets over GF(2).
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -80,42 +82,64 @@ def _sparse(v) -> dict[int, Fraction]:
     return {j: frac(x) for j, x in enumerate(v) if x}
 
 
-def _eliminate(v: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
-    """v -= f * row in place, dropping entries that cancel."""
-    for j, y in row.items():
-        x = v.get(j, 0) - f * y
-        if x:
-            v[j] = x
-        else:
-            del v[j]
-
-
 class SpanBasis:
     """Incremental echelon basis of a subspace of Q^width, the one
-    elimination routine over Q.  Rows are sparse {column: Fraction} dicts
-    with a leading 1 at their pivot; a new vector is reduced against the
-    rows in ascending pivot order and kept if anything is left."""
+    elimination routine over Q.  Rows are primitive integer vectors,
+    sparse {column: int} dicts whose entries have gcd 1 and whose leading
+    entry, at the pivot, is positive; each is a positive multiple of the
+    leading-1 row over Q.  A new vector is cleared of denominators once
+    and reduced fraction-free against the rows in ascending pivot order,
+    so the reduction loops do integer arithmetic only."""
 
     def __init__(self, width: int):
         self.width = width
         self.pivots: list[int] = []
-        self._rows: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
+
+    def _reduce(self, v: dict[int, int], pivots) -> int:
+        """Make v vanish at the given pivots in place, by steps
+        v <- (a/g) v - (b/g) row; return the factor v was scaled by."""
+        scale = 1
+        for p in pivots:
+            b = v.get(p)
+            if not b:
+                continue
+            row = self._rows[p]
+            a = row[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                scale *= a
+                for j in v:
+                    v[j] *= a
+            for j, y in row.items():
+                x = v.get(j, 0) - b * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+        return scale
+
+    def _keep(self, pivot: int, v: dict[int, int]) -> None:
+        """Store v at its pivot, divided by its content, leading entry > 0."""
+        c = gcd(*v.values())
+        if v[pivot] < 0:
+            c = -c
+        self._rows[pivot] = {j: x // c for j, x in v.items()}
 
     def insert(self, vec: dict[int, Fraction]) -> tuple[int, Fraction] | None:
         """Insert a sparse vector; return its pivot and the value there
         before scaling, or None if it already lies in the span."""
-        v = {j: x for j, x in vec.items() if x}
-        for p in self.pivots:
-            f = v.get(p)
-            if f:
-                _eliminate(v, f, self._rows[p])
+        den = lcm(*(x.denominator for x in vec.values()))
+        v = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
+        scale = den * self._reduce(v, self.pivots)
         if not v:
             return None
         pivot = min(v)
-        scale = v[pivot]
-        self._rows[pivot] = {j: x / scale for j, x in v.items()}
+        value = Fraction(v[pivot], scale)
+        self._keep(pivot, v)
         insort(self.pivots, pivot)
-        return pivot, scale
+        return pivot, value
 
     def add(self, v) -> bool:
         """Insert a dense vector; True if it enlarged the span."""
@@ -123,23 +147,26 @@ class SpanBasis:
 
     def back_reduce(self) -> None:
         """Clear each pivot column in the other rows: the rows become the
-        reduced row echelon form of the span."""
+        reduced row echelon form of the span, up to positive scalars."""
         for i in reversed(range(len(self.pivots))):
-            row = self._rows[self.pivots[i]]
-            for p in self.pivots[i + 1 :]:
-                f = row.get(p)
-                if f:
-                    _eliminate(row, f, self._rows[p])
+            p = self.pivots[i]
+            row = self._rows[p]
+            self._reduce(row, self.pivots[i + 1 :])
+            self._keep(p, row)
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
     def basis(self) -> list[Vector]:
+        """The rows scaled to a leading 1, dense."""
         zero = Fraction(0)
         return [
-            tuple(self._rows[p].get(j, zero) for j in range(self.width))
-            for p in self.pivots
+            tuple(
+                Fraction(row[j], row[p]) if j in row else zero
+                for j in range(self.width)
+            )
+            for p, row in sorted(self._rows.items())
         ]
 
 

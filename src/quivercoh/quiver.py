@@ -617,6 +617,14 @@ def parse_frac(text: str) -> Fraction:
     return out
 
 
+def json_int(x) -> int:
+    """x, if it is a JSON integer; floats, strings and booleans are
+    rejected rather than truncated or read as 0 and 1."""
+    if type(x) is not int:
+        raise ParseError(f"bad integer {x!r}: expected a JSON integer")
+    return x
+
+
 def rep_to_json(rep: QuiverRep) -> str:
     data = {
         "space": {"k": rep.space.k, "n": rep.space.n},
@@ -647,22 +655,24 @@ def rep_from_json(text: str) -> QuiverRep:
 def rep_from_data(data) -> QuiverRep:
     """Representation from the parsed JSON form that rep_to_json writes."""
     try:
-        space = Space(int(data["space"]["k"]), int(data["space"]["n"]))
+        space = Space(json_int(data["space"]["k"]), json_int(data["space"]["n"]))
         vertices = [
-            (tuple(int(c) for c in v["weight"]), int(v["dim"]))
+            (tuple(json_int(c) for c in v["weight"]), json_int(v["dim"]))
             for v in data["vertices"]
         ]
         # one Fraction per distinct entry text keeps parsed matrices small
         entry = lru_cache(maxsize=None)(parse_frac)
-        arrows = [
-            (
-                int(a["from"]),
-                int(a["to"]),
-                (int(a["box"][0]), int(a["box"][1])),
-                [[entry(x) for x in row] for row in a["matrix"]],
+        arrows = []
+        for a in data.get("arrows", []):
+            i, j = a["box"]  # exactly two entries
+            arrows.append(
+                (
+                    json_int(a["from"]),
+                    json_int(a["to"]),
+                    (json_int(i), json_int(j)),
+                    [[entry(x) for x in row] for row in a["matrix"]],
+                )
             )
-            for a in data.get("arrows", [])
-        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad representation schema: {exc!r}")
     return make_rep(space, vertices, arrows)

@@ -68,11 +68,9 @@ def canonical_character(rep: QuiverRep) -> Character:
 
 
 def pairing(ch: Character, subdims: dict) -> int:
-    """Pair the character with a dimension vector (weights to sizes)."""
-    total = 0
-    for w, s in ch.sigma:
-        total += s * int(subdims.get(tuple(w), 0))
-    return total
+    """Pair the character with a dimension vector (weights to sizes);
+    a weight the character has no entry for is a DomainError."""
+    return sum(ch.value(w) * d for w, d in subdims.items())
 
 
 @dataclass(frozen=True)
@@ -218,22 +216,19 @@ def _endomorphism_dim(rep: QuiverRep) -> int:
     for d in dims:
         offsets.append(total)
         total += d * d
-    rows: list[list[Fraction]] = []
+    basis = SpanBasis(total)
     for a in rep.arrows:
         m = a.matrix
         du, dv = dims[a.src], dims[a.dst]
+        dst, src = offsets[a.dst], offsets[a.src]
         for r in range(dv):
             for c in range(du):
-                row = [Fraction(0)] * total
-                # (A_dst M - M A_src)[r][c] = 0
-                for x in range(dv):
-                    row[offsets[a.dst] + r * dv + x] += m[x][c]
-                for x in range(du):
-                    row[offsets[a.src] + x * du + c] -= m[r][x]
-                rows.append(row)
-    if not rows:
-        return total
-    return total - linalg.rank(mat(rows))
+                # (A_dst M - M A_src)[r][c] = 0; an arrow joins two
+                # distinct vertices, so the two blocks do not overlap
+                row = {dst + r * dv + x: m[x][c] for x in range(dv)}
+                row.update({src + x * du + c: -m[r][x] for x in range(du)})
+                basis.insert(row)
+    return total - basis.dim
 
 
 @dataclass(frozen=True)

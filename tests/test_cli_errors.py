@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from quivercoh import cohomology, quiver
+from quivercoh import cohomology, quiver, stability
 from quivercoh.cli import main
 from quivercoh.errors import InternalCheckError
 
@@ -89,3 +89,106 @@ def test_internal_error_exits_3(workdir, monkeypatch, capsys):
 def test_integer_matrix_still_accepted(capsys):
     assert main(["components", "--matrix", "[[2, -1], [-1, 2]]"]) == 0
     assert capsys.readouterr().out == "3\n"
+
+
+def _rep_variant(change):
+    data = json.loads(quiver.rep_to_json(dual_euler_rep(P2)))
+    change(data)
+    return json.dumps(data)
+
+
+def _character(value=None, scale=1, keep=None):
+    ch = stability.canonical_character(dual_euler_rep(P2))
+    sigma = [
+        {"weight": list(w), "value": s if value is None else value}
+        for w, s in ch.sigma[:keep]
+    ]
+    return json.dumps({"sigma": sigma, "scale": scale})
+
+
+CHECK = ["check", "--rep", "input.json"]
+WITNESS = ["stability", "witness", "--rep", "rep.json", "--witness", "w.json"]
+WITNESS += ["--character", "input.json"]
+
+# rep and character files whose numbers are not JSON integers, and a
+# character missing a vertex: (file text, argv, exit code)
+STRICT = {
+    "dim_true": (
+        _rep_variant(lambda d: d["vertices"][0].update(dim=True)),
+        CHECK,
+        2,
+    ),
+    "dim_float": (
+        _rep_variant(lambda d: d["vertices"][0].update(dim=1.0)),
+        CHECK,
+        2,
+    ),
+    "weight_half": (
+        _rep_variant(lambda d: d["vertices"][0].update(weight=[0.5, 0.5])),
+        CHECK,
+        2,
+    ),
+    "box_string": (
+        _rep_variant(lambda d: d["arrows"][0].update(box="12")),
+        CHECK,
+        2,
+    ),
+    "box_three": (
+        _rep_variant(lambda d: d["arrows"][0].update(box=[1, 2, 1])),
+        CHECK,
+        2,
+    ),
+    "from_float": (
+        _rep_variant(lambda d: d["arrows"][0].update({"from": 1.0})),
+        CHECK,
+        2,
+    ),
+    "space_bool": (
+        _rep_variant(lambda d: d["space"].update(k=False)),
+        CHECK,
+        2,
+    ),
+    "character_value_float": (_character(value=1.5), WITNESS, 2),
+    "character_scale_float": (_character(scale=1.5), WITNESS, 2),
+    "character_missing_vertex": (_character(keep=1), WITNESS, 1),
+}
+
+
+@pytest.fixture
+def strict_workdir(workdir):
+    (workdir / "w.json").write_text(json.dumps({"spans": [[["1"]], []]}))
+    return workdir
+
+
+@pytest.mark.parametrize("case", sorted(STRICT))
+def test_non_integer_input_rejected_with_one_line(case, strict_workdir, capsys):
+    text, argv, code = STRICT[case]
+    (strict_workdir / "input.json").write_text(text)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_canonical_character_file_still_accepted(strict_workdir, capsys):
+    (strict_workdir / "input.json").write_text(_character())
+    assert main(WITNESS) == 0
+    with_file = capsys.readouterr().out
+    assert main(WITNESS[:-2]) == 0
+    assert capsys.readouterr().out == with_file
+
+
+def test_dim_true_rejected_in_a_process_without_traceback(strict_workdir):
+    (strict_workdir / "input.json").write_text(STRICT["dim_true"][0])
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivercoh.cli", *CHECK],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr

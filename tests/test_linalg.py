@@ -113,3 +113,78 @@ def test_edge_shapes():
     assert nullspace(mat([[0, 0]])) == [(1, 0), (0, 1)]
     with pytest.raises(ValueError):
         det(mat([[1, 2]]))
+
+
+# Wide-range entries: numerators up to 10^12 over denominators that
+# include large primes, so inserting a row clears denominators with an
+# lcm and keeping it divides out a nontrivial content.
+DENOMINATORS = (1, 2, 6, 65537, 2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1)
+WIDE = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12),
+        st.sampled_from(DENOMINATORS),
+    ),
+)
+
+
+def wide_matrices(max_rows=5, max_cols=6, square=False):
+    """Random rows, then rows that are linear combinations of earlier
+    ones, so rank deficiency is common."""
+
+    def build(size, data):
+        m, n = size
+        rows = [data.draw(st.lists(WIDE, min_size=n, max_size=n))]
+        while len(rows) < m:
+            if data.draw(st.booleans()):
+                i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+                a, b = data.draw(WIDE), data.draw(WIDE)
+                rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+            else:
+                rows.append(data.draw(st.lists(WIDE, min_size=n, max_size=n)))
+        return mat(rows)
+
+    sizes = st.tuples(st.integers(1, max_rows), st.integers(1, max_cols))
+    if square:
+        sizes = st.integers(1, max_rows).map(lambda n: (n, n))
+    return st.tuples(sizes, st.data()).map(lambda args: build(*args))
+
+
+def gauss_jordan(a):
+    """Reference reduced row echelon form by plain Fraction elimination."""
+    rows = [list(row) for row in a]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_matrices())
+def test_wide_range_rref_kernel_and_basis(a):
+    assert rref(a) == gauss_jordan(a)
+    for vec in nullspace(a):
+        assert all(x == 0 for x in matvec(a, vec))
+    basis = SpanBasis(len(a[0]))
+    for row in a:
+        basis.add(row)
+    for row in basis.basis():
+        assert next(x for x in row if x) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_matrices(max_rows=4, square=True))
+def test_wide_range_det_is_the_leibniz_expansion(a):
+    assert det(a) == leibniz(a)

@@ -291,3 +291,38 @@ class TestEx73:
     def test_wrong_support_rejected(self):
         with pytest.raises(DomainError):
             stability.ex73_invariants(adv_rep())
+
+
+# tangent_dim(random_rep(space, Random(seed), max_dim=3, max_vertices=12))
+# for seeds 0-4, recorded with the Fraction elimination the integer rows
+# replaced; the rank behind each value is exact, so it must not move.
+TANGENT_GOLDEN = {
+    (0, 2): [0, 0, 0, 1, 1],
+    (0, 3): [0, 0, 0, 1, 1],
+    (1, 3): [4, 0, 0, 0, 0],
+    (1, 4): [0, 1, 4, 1, 8],
+}
+
+
+@pytest.mark.parametrize("kn", sorted(TANGENT_GOLDEN))
+def test_tangent_dim_golden_values(kn):
+    from quivercoh.generate import random_rep
+
+    space = rootsys.space(*kn)
+    found = [
+        stability.tangent_dim(
+            random_rep(space, random.Random(seed), max_dim=3, max_vertices=12)
+        )
+        for seed in range(5)
+    ]
+    assert found == TANGENT_GOLDEN[kn]
+
+
+def test_pairing_needs_every_vertex_in_the_character():
+    ch = stability.canonical_character(oo2_rep(1))
+    partial = stability.Character(ch.sigma[:1], ch.scale)
+    missing = ch.sigma[1][0]
+    with pytest.raises(DomainError):
+        stability.pairing(partial, {missing: 1})
+    with pytest.raises(DomainError):
+        stability.check_witness(oo2_rep(1), [[], []], partial)
