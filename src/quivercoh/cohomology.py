@@ -258,22 +258,21 @@ class CohomologyTable:
 
 
 @lru_cache(maxsize=None)
-def _module(space: Space, nu: Weight) -> tuple[Weight, int]:
-    """nu and the dimension of its module, one shared nu per value so that
-    kept tables do not each hold a copy."""
-    return nu, rootsys.module_dim(space, nu)
+def _row(space: Space, degree: int, nu: Weight, multiplicity: int) -> TableRow:
+    """One shared row per value, so that kept tables do not each hold a
+    copy of an equal row."""
+    return TableRow(degree, nu, multiplicity, rootsys.module_dim(space, nu))
 
 
 def _homology_table(space: Space, complex_: CohomologyComplex) -> CohomologyTable:
     rows = []
     for cls in complex_.classes:
-        nu, dim_nu = _module(space, cls.nu)
         ranks = {d: linalg.rank(m) for d, m in cls.maps.items()}
         for d in cls.degrees:
             total = sum(dim for _, dim in cls.blocks[d])
             mult = total - ranks.get(d, 0) - ranks.get(d - 1, 0)
             if mult:
-                rows.append(TableRow(d, nu, mult, dim_nu))
+                rows.append(_row(space, d, cls.nu, mult))
     rows.sort(key=lambda r: (r.degree, r.nu))
     return CohomologyTable(space, tuple(rows))
 

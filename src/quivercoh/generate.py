@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg, quiver, rootsys
-from .linalg import mat, matmul
+from . import quiver, rootsys
+from .linalg import SpanBasis, mat, matmul
 from .quiver import QuiverRep, make_rep
 
 
@@ -80,14 +80,13 @@ def random_rep(space, rng, max_dim=2, max_vertices=6) -> QuiverRep:
         slots = arrows_by_level[lv]
         partial = make_rep(space, vertices, arrows)
         index = partial.vertex_index
-        jacobian = quiver.relation_jacobian(
+        jacobian = SpanBasis(sum(dims[target] * dims[w] for w, _, target in slots))
+        for row, _ in quiver.relation_jacobian(
             partial, [(index(w), index(target)) for w, _, target in slots]
-        )
-        total = sum(dims[target] * dims[w] for w, _, target in slots)
-        rows = [row for row in jacobian if any(row)]
-        basis = linalg.nullspace(mat(rows)) if rows else linalg.identity(total)
-        flat = [Fraction(0)] * total
-        for vec in basis:
+        ):
+            jacobian.insert(row)
+        flat = [Fraction(0)] * jacobian.width
+        for vec in jacobian.kernel():
             c = _rand_frac(rng)
             if c:
                 flat = [a + c * b for a, b in zip(flat, vec)]

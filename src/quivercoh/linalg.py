@@ -127,9 +127,10 @@ class SpanBasis:
             c = -c
         self._rows[pivot] = {j: x // c for j, x in v.items()}
 
-    def insert(self, vec: dict[int, Fraction]) -> tuple[int, Fraction] | None:
-        """Insert a sparse vector; return its pivot and the value there
-        before scaling, or None if it already lies in the span."""
+    def insert(self, vec: dict[int, Fraction | int]) -> tuple[int, Fraction] | None:
+        """Insert a sparse vector of rationals or integers; return its
+        pivot and the value there before scaling, or None if it already
+        lies in the span."""
         den = lcm(*(x.denominator for x in vec.values()))
         v = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
         scale = den * self._reduce(v, self.pivots)
@@ -157,6 +158,20 @@ class SpanBasis:
     @property
     def dim(self) -> int:
         return len(self.pivots)
+
+    def kernel(self) -> list[Vector]:
+        """One vector per free column, that coordinate 1, orthogonal to
+        every row: read off the back-reduced rows."""
+        self.back_reduce()
+        out = []
+        for free in range(self.width):
+            if free not in self._rows:
+                v = [Fraction(0)] * self.width
+                v[free] = Fraction(1)
+                for p, row in self._rows.items():
+                    v[p] = -Fraction(row.get(free, 0), row[p])
+                out.append(tuple(v))
+        return out
 
     def basis(self) -> list[Vector]:
         """The rows scaled to a leading 1, dense."""
@@ -213,19 +228,7 @@ def rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel, deterministic order (one vector per
     free column, free coordinate set to 1)."""
-    n = shape(a)[1]
-    rows, pivots = rref(a)
-    pivset = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        basis.append(tuple(v))
-    return basis
+    return _row_basis(a).kernel()
 
 
 def solve(a: Matrix, b) -> Vector | None:

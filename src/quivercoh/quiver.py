@@ -7,14 +7,17 @@ Missing arrows are zero matrices; representations are stored sparsely
 and are immutable after construction.
 
 This module is the one place that walks the quadratic relations of a
-representation: check_relations evaluates the walk and relation_jacobian
-linearizes it.  The coefficients of a relation depend only on the rows
-(p1, p2, q1, q2) of the two boxes and on ptilde, qtilde of the source
-shape, so they are interned under that key.  Input is validated at the
-boundary (make_rep, rep_from_json and rep_from_data, the public
-relation_system); the walk trusts the representation it is given.  The
-pieri module verifies the coefficients against a brute-force equivariant
-construction.
+representation.  relation_plan walks them once per call into integer
+form: each arrow a primitive integer matrix over one denominator, each
+relation integer path weights over one scale.  check_relations evaluates
+the plan, a relation holding iff its integer sum is zero (only a violated
+one is rebuilt as a rational residual), and relation_jacobian linearizes
+it into sparse integer rows.  Relation coefficients depend only on the
+box rows (p1, p2, q1, q2) and on ptilde, qtilde of the source shape, so
+they are interned under that key.  Input is validated at the boundary
+(make_rep, rep_from_json and rep_from_data, the public relation_system);
+the walk trusts the representation it is given.  The pieri module
+verifies the coefficients against a brute-force equivariant construction.
 """
 
 from __future__ import annotations
@@ -22,13 +25,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
+from math import gcd, lcm
+from operator import add, mul
 
 from . import linalg, rootsys
 from .errors import DomainError, ParseError
 from .linalg import Matrix, SpanBasis, mat, matmul, zeros
-from .rootsys import BundleShape, Space, Weight
+from .rootsys import Space, Weight
 
 Box = tuple[int, int]
 
@@ -47,41 +52,41 @@ class Arrow:
     matrix: Matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuiverRep:
     space: Space
     vertices: tuple[Vertex, ...]
     arrows: tuple[Arrow, ...]
 
-    @cached_property
-    def _index(self) -> dict[Weight, int]:
-        return {v.weight: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _matrices(self) -> dict[tuple[int, int], Matrix]:
-        return {(a.src, a.dst): a.matrix for a in self.arrows}
-
     def vertex_index(self, weight) -> int | None:
-        return self._index.get(tuple(weight))
+        weight = tuple(weight)
+        for i, v in enumerate(self.vertices):
+            if v.weight == weight:
+                return i
+        return None
 
     def arrow_matrix(self, src: int, dst: int) -> Matrix | None:
-        return self._matrices.get((src, dst))
+        for a in self.arrows:
+            if a.src == src and a.dst == dst:
+                return a.matrix
+        return None
 
     def dims(self) -> tuple[int, ...]:
         return tuple(v.dim for v in self.vertices)
 
 
+@lru_cache(maxsize=None)
+def _box_shifts(space: Space) -> tuple[tuple[Box, Weight], ...]:
+    return tuple(zip(rootsys.omega1_boxes(space), rootsys.omega1_weights(space)))
+
+
 def arrows_from(space: Space, w) -> list[tuple[Box, Weight]]:
     """All quiver arrows out of w: the box pairs whose addition keeps
-    both partitions valid, with their target weights."""
-    sh = rootsys.weight_to_shape(space, w)
-    out = []
-    for p, q in rootsys.omega1_boxes(space):
-        if rootsys.box_addable(sh.alpha, p, space.k + 1) and rootsys.box_addable(
-            sh.beta, q, space.n - space.k
-        ):
-            out.append(((p, q), rootsys.wadd(w, rootsys.box_weight(space, p, q))))
-    return out
+    both partitions valid, which is keeping the weight in D_1, with their
+    target weights."""
+    w = rootsys.require_d1(space, w)
+    targets = ((box, tuple(map(add, w, s))) for box, s in _box_shifts(space))
+    return [(box, t) for box, t in targets if rootsys.in_d1(space, t)]
 
 
 def make_rep(space: Space, vertices, arrows) -> QuiverRep:
@@ -109,6 +114,8 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
 
     new_arrows = []
     seen_pairs = set()
+    # one shared tuple per box pair keeps the stored arrows small
+    boxes = {box: box for box, _ in _box_shifts(space)}
     for entry in arrows:
         if len(entry) == 3:
             src_w, box, matrix = entry
@@ -136,7 +143,7 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
         if (src, dst) in seen_pairs:
             raise DomainError(f"duplicate arrow {sw} -> {dw}")
         seen_pairs.add((src, dst))
-        new_arrows.append(Arrow(src, dst, box, matrix))
+        new_arrows.append(Arrow(src, dst, boxes[box], matrix))
     new_arrows.sort(key=lambda a: (a.src, a.dst))
     return QuiverRep(space, new_vertices, tuple(new_arrows))
 
@@ -157,12 +164,14 @@ def double_additions(space: Space, w) -> list[tuple[Box, Box]]:
     alpha, beta = rootsys.shape_rows(space, rootsys.require_d1(space, w))
     return [
         ((p1, q1), (p2, q2))
-        for (p1, p2), (q1, q2) in product(_double_rows(alpha), _double_rows(beta))
+        for (p1, p2, _), (q1, q2, _) in product(_row_pairs(alpha), _row_pairs(beta))
     ]
 
 
-def _double_rows(padded: Weight) -> list[tuple[int, int]]:
-    """Row pairs r1 <= r2 where two boxes fit into the padded partition."""
+@lru_cache(maxsize=None)
+def _row_pairs(padded: Weight) -> tuple[tuple[int, int, int], ...]:
+    """(r1, r2, gap) for each row pair r1 <= r2 where two boxes fit into
+    the padded partition."""
     out = []
     nrows = len(padded)
     for r1 in range(1, nrows + 1):
@@ -171,18 +180,12 @@ def _double_rows(padded: Weight) -> list[tuple[int, int]]:
             rows[r1 - 1] += 1
             rows[r2 - 1] += 1
             if all(rows[i] >= rows[i + 1] for i in range(nrows - 1)):
-                out.append((r1, r2))
-    return out
+                out.append((r1, r2, _gap(padded, r1, r2)))
+    return tuple(out)
 
 
 def _gap(padded: Weight, r1: int, r2: int) -> int:
     return padded[r1 - 1] - padded[r2 - 1] + r2 - r1
-
-
-def _tilde(space: Space, sh: BundleShape, r1: int, r2: int, side: str) -> int:
-    part = sh.alpha if side == "alpha" else sh.beta
-    nrows = space.k + 1 if side == "alpha" else space.n - space.k
-    return _gap(tuple(part) + (0,) * (nrows - len(part)), r1, r2)
 
 
 def relation_system(space: Space, w, boxes) -> list[RelationEquation]:
@@ -240,37 +243,68 @@ def _relation_terms(p1: int, p2: int, q1: int, q2: int, pt: int, qt: int):
     )
 
 
-def _relations(rep: QuiverRep):
-    """Walk every relation of rep whose target and at least one middle
-    vertex lie in the support, in vertex, box and equation order.
+@dataclass(frozen=True, slots=True)
+class RelationPlan:
+    """The relations of one representation, walked once for integer
+    arithmetic.  arrows maps (src, dst) to (rows, columns, den), the
+    matrix being rows / den with rows primitive; slots are the quiver
+    arrows between support vertices, present or not.  relations holds
+    (src, tgt, terms, scale, paths) per relation whose target and some
+    middle vertex lie in the support: terms as in RelationEquation, paths
+    the (mid, weight) of the terms with that middle vertex present, where
+    weight = coeff * scale / (d1 * d2) over the path's arrow denominators
+    (1 if missing) and scale is the least making every weight integral."""
 
-    Yields (src, tgt, terms, paths): terms as in RelationEquation, paths
-    the (mid, coeff) of the terms whose middle vertex is present.
-    """
-    space = rep.space
-    index = rep._index
-    shift = dict(zip(rootsys.omega1_boxes(space), rootsys.omega1_weights(space)))
-    wadd = rootsys.wadd
+    arrows: dict
+    slots: list[tuple[int, int]]
+    relations: list[tuple]
+
+
+def relation_plan(rep: QuiverRep) -> RelationPlan:
+    """Walk rep's relations in vertex, box and equation order."""
+    arrows = {}
+    for a in rep.arrows:
+        den = lcm(*(x.denominator for row in a.matrix for x in row))
+        rows = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row) for row in a.matrix
+        )
+        arrows[(a.src, a.dst)] = (rows, tuple(zip(*rows)), den)
+    # steps[i][box] is the vertex box leads to from vertex i: a weight
+    # plus a box weight lies in D_1 exactly when the box is addable
+    index = {v.weight: i for i, v in enumerate(rep.vertices)}
+    shifts = _box_shifts(rep.space)
+    steps = [
+        {
+            box: j
+            for box, s in shifts
+            if (j := index.get(tuple(map(add, v.weight, s)))) is not None
+        }
+        for v in rep.vertices
+    ]
+    relations = []
     for src, v in enumerate(rep.vertices):
-        w = v.weight
-        alpha, beta = rootsys.shape_rows(space, w)
-        for (p1, p2), (q1, q2) in product(_double_rows(alpha), _double_rows(beta)):
-            equations = _relation_terms(
-                p1, p2, q1, q2, _gap(alpha, p1, p2), _gap(beta, q1, q2)
-            )
-            if not equations:
-                continue
-            tgt = index.get(wadd(wadd(w, shift[(p1, q1)]), shift[(p2, q2)]))
-            if tgt is None:
-                continue
-            for terms in equations:
-                paths = []
-                for first, _, coeff in terms:
-                    mid = index.get(wadd(w, shift[first]))
-                    if mid is not None:
-                        paths.append((mid, coeff))
-                if paths:
-                    yield src, tgt, terms, paths
+        alpha, beta = rootsys.shape_rows(rep.space, v.weight)
+        for (p1, p2, pt), (q1, q2, qt) in product(_row_pairs(alpha), _row_pairs(beta)):
+            for terms in _relation_terms(p1, p2, q1, q2, pt, qt):
+                tgt, paths = None, []
+                for first, second, coeff in terms:
+                    mid = steps[src].get(first)
+                    if mid is None:
+                        continue
+                    # every present middle vertex leads to the same target
+                    tgt = steps[mid].get(second)
+                    if tgt is None:
+                        break
+                    a1, a2 = arrows.get((src, mid)), arrows.get((mid, tgt))
+                    den = coeff.denominator * (a1[2] if a1 else 1) * (a2[2] if a2 else 1)
+                    g = gcd(coeff.numerator, den)
+                    paths.append((mid, coeff.numerator // g, den // g))
+                if tgt is not None:
+                    scale = lcm(*(den for _, _, den in paths))
+                    paths = [(mid, num * (scale // den)) for mid, num, den in paths]
+                    relations.append((src, tgt, terms, scale, paths))
+    slots = [(i, j) for i, step in enumerate(steps) for j in step.values()]
+    return RelationPlan(arrows, slots, relations)
 
 
 @dataclass(frozen=True)
@@ -296,64 +330,75 @@ def _path_product(rep: QuiverRep, src: int, first: Box, second: Box) -> Matrix |
     return matmul(m2, m1)
 
 
-def check_relations(rep: QuiverRep) -> list[Violation]:
+def check_relations(rep: QuiverRep, plan: RelationPlan | None = None) -> list[Violation]:
     """Evaluate every relation over the representation; missing arrows
-    count as zero.  Empty list means the representation is valid."""
+    count as zero.  Empty list means the representation is valid.
+
+    scale times a relation is the weighted sum of its integer path
+    products, so it holds iff that sum is zero; only a violated one is
+    divided back.  plan is rep's relation_plan, for a caller that also
+    linearizes rep.
+    """
+    plan = plan or relation_plan(rep)
+    arrows, vertices = plan.arrows, rep.vertices
     out = []
-    arrows = rep._matrices
-    vertices = rep.vertices
-    for src, tgt, terms, paths in _relations(rep):
-        total = zeros(vertices[tgt].dim, vertices[src].dim)
-        for mid, coeff in paths:
-            m1 = arrows.get((src, mid))
-            m2 = arrows.get((mid, tgt))
-            if m1 is not None and m2 is not None:
-                total = linalg.madd(total, linalg.mscale(coeff, matmul(m2, m1)))
-        if not linalg.is_zero_matrix(total):
+    for src, tgt, terms, scale, paths in plan.relations:
+        total = None
+        for mid, weight in paths:
+            a1, a2 = arrows.get((src, mid)), arrows.get((mid, tgt))
+            if a1 and a2:
+                term = [weight * sum(map(mul, row, col)) for row in a2[0] for col in a1[1]]
+                total = term if total is None else list(map(add, total, term))
+        if total and any(total):
+            ncols = vertices[src].dim
+            residual = tuple(
+                tuple(Fraction(x, scale) for x in total[r : r + ncols])
+                for r in range(0, len(total), ncols)
+            )
             source, target = vertices[src].weight, vertices[tgt].weight
             out.append(
-                Violation(source, target, RelationEquation(source, target, terms), total)
+                Violation(source, target, RelationEquation(source, target, terms), residual)
             )
     return out
 
 
-def relation_jacobian(rep: QuiverRep, slots) -> list[list[Fraction]]:
+def relation_jacobian(
+    rep: QuiverRep, slots, plan: RelationPlan | None = None
+) -> list[tuple[dict[int, int], int]]:
     """Derivative of the relations at rep with respect to the arrow
     matrices in slots.
 
     slots is a sequence of (src, dst) vertex index pairs; each slot owns
     a row-major dst x src block of the columns, in the given order.  The
-    rows are those of check_relations' walk, one row-major tgt x src
-    block per relation; arrows outside the slots are held fixed, and
-    missing arrows read as zero.
+    rows are one row-major tgt x src block per relation of the plan,
+    each a sparse integer row {column: entry} with its relation's scale:
+    the derivative is row / scale.  Arrows outside the slots are held
+    fixed, and missing arrows read as zero.  plan is rep's
+    relation_plan, for a caller that also evaluates rep.
     """
-    dims = rep.dims()
-    arrows = rep._matrices
+    plan = plan or relation_plan(rep)
+    dims, arrows = rep.dims(), plan.arrows
     offsets = {}
     total = 0
     for i, j in slots:
         offsets[(i, j)] = total
         total += dims[j] * dims[i]
-    zero = Fraction(0)
-    out: list[list[Fraction]] = []
-    for src, tgt, _, paths in _relations(rep):
+    out = []
+    for src, tgt, _, scale, paths in plan.relations:
         rows, cols = dims[tgt], dims[src]
-        block = [[zero] * total for _ in range(rows * cols)]
-        for mid, coeff in paths:
-            dmid = dims[mid]
-            # coeff * second . first moves with second as (. first) and
-            # with first as (second .)
-            off2, m1 = offsets.get((mid, tgt)), arrows.get((src, mid))
-            off1, m2 = offsets.get((src, mid)), arrows.get((mid, tgt))
-            for r in range(rows):
-                for c in range(cols):
-                    row = block[r * cols + c]
-                    for x in range(dmid):
-                        if off2 is not None and m1 is not None:
-                            row[off2 + r * dmid + x] += coeff * m1[x][c]
-                        if off1 is not None and m2 is not None:
-                            row[off1 + x * cols + c] += coeff * m2[r][x]
-        out.extend(block)
+        block = [{} for _ in range(rows * cols)]
+        for mid, weight in paths:
+            a1, a2 = arrows.get((src, mid)), arrows.get((mid, tgt))
+            off1, off2, dmid = offsets.get((src, mid)), offsets.get((mid, tgt)), dims[mid]
+            # scale * coeff * second . first moves with second as
+            # weight * d2 * (. first) and with first as weight * d1 * (second .)
+            for r, c, x in product(range(rows), range(cols), range(dmid)):
+                row = block[r * cols + c]
+                if off2 is not None and a1 and a1[0][x][c]:
+                    row[off2 + r * dmid + x] = weight * (a2[2] if a2 else 1) * a1[0][x][c]
+                if off1 is not None and a2 and a2[0][r][x]:
+                    row[off1 + x * cols + c] = weight * (a1[2] if a1 else 1) * a2[0][r][x]
+        out.extend((row, scale) for row in block)
     return out
 
 
@@ -373,29 +418,20 @@ def commutative_scale(space: Space, w, box: Box) -> int:
 def rescale_to_commutative(rep: QuiverRep) -> QuiverRep:
     """Rescale arrow matrices so the relations become commutativity of
     all square diagrams (absent corners read as zero)."""
-    space = rep.space
-    arrows = [
-        (
-            a.src,
-            a.dst,
-            a.box,
-            linalg.mscale(
-                commutative_scale(space, rep.vertices[a.src].weight, a.box), a.matrix
-            ),
-        )
-        for a in rep.arrows
-    ]
-    return QuiverRep(space, rep.vertices, tuple(Arrow(*a) for a in arrows))
+    return _scale_arrows(rep, 1)
 
 
 def unscale_from_commutative(rep: QuiverRep) -> QuiverRep:
     """Inverse of rescale_to_commutative."""
-    space = rep.space
-    arrows = []
-    for a in rep.arrows:
-        s = commutative_scale(space, rep.vertices[a.src].weight, a.box)
-        arrows.append(Arrow(a.src, a.dst, a.box, linalg.mscale(Fraction(1, s), a.matrix)))
-    return QuiverRep(space, rep.vertices, tuple(arrows))
+    return _scale_arrows(rep, -1)
+
+
+def _scale_arrows(rep: QuiverRep, power: int) -> QuiverRep:
+    def scaled(a: Arrow) -> Arrow:
+        s = Fraction(commutative_scale(rep.space, rep.vertices[a.src].weight, a.box))
+        return Arrow(a.src, a.dst, a.box, linalg.mscale(s**power, a.matrix))
+
+    return QuiverRep(rep.space, rep.vertices, tuple(map(scaled, rep.arrows)))
 
 
 def dual_rep(rep: QuiverRep) -> QuiverRep:
@@ -415,45 +451,35 @@ def dual_rep(rep: QuiverRep) -> QuiverRep:
     return make_rep(space, vertices, arrows)
 
 
+def twist_rep(rep: QuiverRep, t: int) -> QuiverRep:
+    """rep tensored with the t-th power of the Picard generator: every
+    vertex weight twisted by t, the arrows kept (a twist changes no
+    shape, so no relation)."""
+    vertices = [(rootsys.twist(rep.space, v.weight, t), v.dim) for v in rep.vertices]
+    arrows = [(a.src, a.dst, a.box, a.matrix) for a in rep.arrows]
+    return make_rep(rep.space, vertices, arrows)
+
+
 def direct_sum(r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
+    """Block-diagonal sum, r1 in the leading rows and columns."""
     if r1.space != r2.space:
         raise DomainError("direct sum needs a common space")
-    space = r1.space
-    weights = sorted({v.weight for v in r1.vertices} | {v.weight for v in r2.vertices})
     dim1 = {v.weight: v.dim for v in r1.vertices}
-    dim2 = {v.weight: v.dim for v in r2.vertices}
-    dims = {w: dim1.get(w, 0) + dim2.get(w, 0) for w in weights}
-    vertices = [(w, dims[w]) for w in weights]
-
-    def blocks(w_src, w_dst):
-        rows = dims[w_dst]
-        cols = dims[w_src]
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        for rep, dim_map, roff, coff in (
-            (r1, dim1, 0, 0),
-            (r2, dim2, dim1.get(w_dst, 0), dim1.get(w_src, 0)),
-        ):
-            si = rep.vertex_index(w_src)
-            di = rep.vertex_index(w_dst)
-            if si is None or di is None:
-                continue
-            m = rep.arrow_matrix(si, di)
-            if m is None:
-                continue
-            for i, row in enumerate(m):
-                for j, x in enumerate(row):
-                    out[roff + i][coff + j] = x
-        return out
-
-    arrows = []
-    pairs = set()
-    for rep in (r1, r2):
+    dims = dict(dim1)
+    for v in r2.vertices:
+        dims[v.weight] = dims.get(v.weight, 0) + v.dim
+    blocks = {}
+    for rep, first in ((r1, True), (r2, False)):
         for a in rep.arrows:
-            pair = (rep.vertices[a.src].weight, rep.vertices[a.dst].weight, a.box)
-            pairs.add(pair)
-    for w_src, w_dst, box in sorted(pairs):
-        arrows.append((w_src, box, blocks(w_src, w_dst)))
-    return make_rep(space, vertices, arrows)
+            sw, dw = rep.vertices[a.src].weight, rep.vertices[a.dst].weight
+            block = blocks.setdefault(
+                (sw, a.box), [[Fraction(0)] * dims[sw] for _ in range(dims[dw])]
+            )
+            roff, coff = (0, 0) if first else (dim1.get(dw, 0), dim1.get(sw, 0))
+            for i, row in enumerate(a.matrix):
+                block[roff + i][coff : coff + len(row)] = row
+    arrows = [(sw, box, m) for (sw, box), m in blocks.items()]
+    return make_rep(r1.space, sorted(dims.items()), arrows)
 
 
 def _closure_spans(rep: QuiverRep, spans) -> list[SpanBasis]:
@@ -521,10 +547,9 @@ def quotient_by(rep: QuiverRep, spans) -> QuiverRep:
         probe = SpanBasis(v.dim)
         for row in basis.basis():
             probe.add(row)
-        for j in range(v.dim):
-            unit = [Fraction(1 if i == j else 0) for i in range(v.dim)]
+        for unit in linalg.identity(v.dim):
             if probe.add(unit):
-                comp.append(tuple(unit))
+                comp.append(unit)
         complements.append((basis, comp))
         vertices.append((v.weight, len(comp)))
     keep = [i for i, (_, comp) in enumerate(complements) if comp]
@@ -552,17 +577,7 @@ def quotient_arriving_at(rep: QuiverRep, vertex: int) -> QuiverRep:
     if not 0 <= vertex < len(rep.vertices):
         raise DomainError("vertex index out of range")
     dims = rep.dims()
-    kernels: list[list[tuple[Fraction, ...]]] = []
-    for i, d in enumerate(dims):
-        if i == vertex:
-            kernels.append([])
-        else:
-            kernels.append(
-                [
-                    tuple(Fraction(1 if a == b else 0) for a in range(d))
-                    for b in range(d)
-                ]
-            )
+    kernels = [[] if i == vertex else list(linalg.identity(d)) for i, d in enumerate(dims)]
     changed = True
     while changed:
         changed = False
@@ -577,13 +592,8 @@ def quotient_arriving_at(rep: QuiverRep, vertex: int) -> QuiverRep:
             combos = linalg.nullspace(coeff)
             if len(combos) == len(current):
                 continue
-            span = SpanBasis(dims[a.src])
-            kept = []
-            for combo in combos:
-                vec = linalg.matvec(basis_matrix, combo)
-                if span.add(vec):
-                    kept.append(tuple(vec))
-            kernels[a.src] = kept
+            # current is a basis, so the images of a kernel basis are one too
+            kernels[a.src] = [linalg.matvec(basis_matrix, combo) for combo in combos]
             changed = True
     return quotient_by(rep, kernels)
 
@@ -665,12 +675,15 @@ def rep_from_data(data) -> QuiverRep:
         arrows = []
         for a in data.get("arrows", []):
             i, j = a["box"]  # exactly two entries
+            matrix = a["matrix"]
+            if type(matrix) is not list or any(type(row) is not list for row in matrix):
+                raise ParseError(f"bad matrix {matrix!r}: expected a JSON list of lists")
             arrows.append(
                 (
                     json_int(a["from"]),
                     json_int(a["to"]),
                     (json_int(i), json_int(j)),
-                    [[entry(x) for x in row] for row in a["matrix"]],
+                    [[entry(x) for x in row] for row in matrix],
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:

@@ -17,17 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import linalg, rootsys
 from .errors import DomainError
-from .linalg import Matrix, SpanBasis, mat, matmul
+from .linalg import SpanBasis, matmul
 from .quiver import (
     QuiverRep,
+    RelationPlan,
     _closure_spans,
-    arrows_from,
     check_relations,
     relation_jacobian,
+    relation_plan,
 )
 from .rootsys import Weight
 
@@ -58,9 +59,7 @@ def canonical_character(rep: QuiverRep) -> Character:
     rk_total = sum(r * v.dim for r, v in zip(ranks, rep.vertices))
     c1_total = sum(c * v.dim for c, v in zip(chern, rep.vertices))
     values = [c1_total * r - rk_total * c for r, c in zip(ranks, chern)]
-    denom = 1
-    for x in values:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in values))
     sigma = tuple(
         (v.weight, int(x * denom)) for v, x in zip(rep.vertices, values)
     )
@@ -85,12 +84,7 @@ def check_witness(rep: QuiverRep, spans, ch: Character) -> WitnessReport:
     """Close the given spanning sets under the arrows, report the pairing
     of the resulting subrepresentation.  Negative pairing exhibits a
     destabilizer (semistable needs >= 0 on every subrepresentation)."""
-    given = []
-    for v, vecs in zip(rep.vertices, spans):
-        basis = SpanBasis(v.dim)
-        for vec in vecs:
-            basis.add(vec)
-        given.append(basis.dim)
+    given = [linalg.rank(vecs) for vecs in spans]
     bases = _closure_spans(rep, spans)
     closed = all(b.dim == g for b, g in zip(bases, given))
     subdims = {v.weight: b.dim for v, b in zip(rep.vertices, bases)}
@@ -175,29 +169,19 @@ def path_semistable(rep: QuiverRep, ch: Character) -> bool:
     return True
 
 
-def _arrow_slots(rep: QuiverRep) -> list[tuple[int, int]]:
-    """All quiver arrows between support vertices, present or not."""
-    slots = []
-    for i, v in enumerate(rep.vertices):
-        for _, target in arrows_from(rep.space, v.weight):
-            j = rep.vertex_index(target)
-            if j is not None:
-                slots.append((i, j))
-    return slots
-
-
 def tangent_dim(rep: QuiverRep) -> int:
     """Dimension of the linearized relation variety at the point, minus
     the orbit dimension of the base-change group."""
-    violations = check_relations(rep)
-    if violations:
+    plan = relation_plan(rep)
+    if check_relations(rep, plan):
         raise DomainError("tangent space is computed at valid points only")
     dims = rep.dims()
-    slots = _arrow_slots(rep)
-    total = sum(dims[j] * dims[i] for i, j in slots)
-    deformation = total - linalg.rank(mat(relation_jacobian(rep, slots)))
+    jacobian = SpanBasis(sum(dims[j] * dims[i] for i, j in plan.slots))
+    for row, _ in relation_jacobian(rep, plan.slots, plan):
+        jacobian.insert(row)
+    deformation = jacobian.width - jacobian.dim
 
-    end_dim = _endomorphism_dim(rep)
+    end_dim = _endomorphism_dim(rep, plan)
     gauge = sum(d * d for d in dims) - end_dim
     result = deformation - gauge
     if result < 0:
@@ -208,7 +192,7 @@ def tangent_dim(rep: QuiverRep) -> int:
     return result
 
 
-def _endomorphism_dim(rep: QuiverRep) -> int:
+def _endomorphism_dim(rep: QuiverRep, plan: RelationPlan) -> int:
     """Dimension of the space of vertex maps commuting with every arrow."""
     dims = rep.dims()
     offsets = []
@@ -217,16 +201,15 @@ def _endomorphism_dim(rep: QuiverRep) -> int:
         offsets.append(total)
         total += d * d
     basis = SpanBasis(total)
-    for a in rep.arrows:
-        m = a.matrix
-        du, dv = dims[a.src], dims[a.dst]
-        dst, src = offsets[a.dst], offsets[a.src]
+    for (i, j), (m, _, _) in plan.arrows.items():
+        du, dv = dims[i], dims[j]
+        dst, src = offsets[j], offsets[i]
         for r in range(dv):
             for c in range(du):
-                # (A_dst M - M A_src)[r][c] = 0; an arrow joins two
-                # distinct vertices, so the two blocks do not overlap
-                row = {dst + r * dv + x: m[x][c] for x in range(dv)}
-                row.update({src + x * du + c: -m[r][x] for x in range(du)})
+                # (A_dst M - M A_src)[r][c] = 0, times M's denominator; an
+                # arrow joins two distinct vertices, so the blocks do not overlap
+                row = {dst + r * dv + x: m[x][c] for x in range(dv) if m[x][c]}
+                row.update({src + x * du + c: -m[r][x] for x in range(du) if m[r][x]})
                 basis.insert(row)
     return total - basis.dim
 
@@ -277,13 +260,10 @@ def ex73_invariants(rep: QuiverRep) -> Ex73Report:
     f3 = arrow("middle", "out_down")
     f4 = arrow("middle", "out_left")
 
-    def scalar(m: Matrix) -> Fraction:
-        return m[0][0]
-
-    s41 = scalar(matmul(f4, f1))
-    s32 = scalar(matmul(f3, f2))
-    s42 = scalar(matmul(f4, f2))
-    s31 = scalar(matmul(f3, f1))
+    # the outer vertices have multiplicity one, so each product is 1 x 1
+    s41, s32, s42, s31 = (
+        matmul(g, f)[0][0] for g, f in ((f4, f1), (f3, f2), (f4, f2), (f3, f1))
+    )
     s = s41 * s32 * s32
     t = s42 * s32 * s31
 
@@ -298,8 +278,5 @@ def ex73_invariants(rep: QuiverRep) -> Ex73Report:
     else:
         branch = "generic"
 
-    def nonzero(m):
-        return any(x != 0 for row in m for x in row)
-
-    middle_destabilized = nonzero(f2) and nonzero(f3) and s32 == 0
+    middle_destabilized = any(map(any, f2)) and any(map(any, f3)) and s32 == 0
     return Ex73Report(s, t, branch, middle_destabilized, not middle_destabilized)

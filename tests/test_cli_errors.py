@@ -106,6 +106,16 @@ def _character(value=None, scale=1, keep=None):
     return json.dumps({"sigma": sigma, "scale": scale})
 
 
+def _one_arrow_rep(target_dim, matrix):
+    return json.dumps(
+        {
+            "space": {"k": 0, "n": 2},
+            "vertices": [{"weight": [-2, 1], "dim": target_dim}, {"weight": [0, 0], "dim": 1}],
+            "arrows": [{"from": 1, "to": 0, "box": [1, 1], "matrix": matrix}],
+        }
+    )
+
+
 CHECK = ["check", "--rep", "input.json"]
 WITNESS = ["stability", "witness", "--rep", "rep.json", "--witness", "w.json"]
 WITNESS += ["--character", "input.json"]
@@ -148,6 +158,9 @@ STRICT = {
         CHECK,
         2,
     ),
+    "matrix_rows_strings": (_one_arrow_rep(2, ["1", "2"]), CHECK, 2),
+    "matrix_row_string": (_one_arrow_rep(1, ["12"]), CHECK, 2),
+    "matrix_string": (_one_arrow_rep(1, "1"), CHECK, 2),
     "character_value_float": (_character(value=1.5), WITNESS, 2),
     "character_scale_float": (_character(scale=1.5), WITNESS, 2),
     "character_missing_vertex": (_character(keep=1), WITNESS, 1),

@@ -17,6 +17,7 @@ from quivercoh.errors import DomainError
 
 from conftest import (
     GR13,
+    GR14,
     P2,
     P3,
     adv_rep,
@@ -202,6 +203,34 @@ class TestRandomSuite:
             graded_sub = table_dict(graded_table(sub)) if sub.vertices else {}
             for key, mult in table_dict(cohomology.cohomology(sub)).items():
                 assert mult <= graded_sub[key]
+
+
+class TestSerreDuality:
+    """H^i(E) = H^(dim - i)(E* (x) O(-n-1))^*: the canonical bundle of the
+    Grassmannian is O(-n-1), and the dual of the module with Dynkin
+    labels nu has the labels reversed."""
+
+    @pytest.mark.parametrize("space_name", ["P2", "P3", "GR13", "GR14"])
+    def test_random_reps(self, space_name):
+        space = {"P2": P2, "P3": P3, "GR13": GR13, "GR14": GR14}[space_name]
+        rng = random.Random(space.n * 10 + space.k)
+        for _ in range(10):
+            rep = random_rep(space, rng, max_dim=2, max_vertices=8)
+            dual = quiver.twist_rep(quiver.dual_rep(rep), -space.n - 1)
+            lhs = table_dict(cohomology.cohomology(rep))
+            rhs = {
+                (space.dim - degree, nu[::-1]): mult
+                for (degree, nu), mult in table_dict(cohomology.cohomology(dual)).items()
+            }
+            assert lhs == rhs
+
+    def test_twist_round_trip(self):
+        rep = quiver.twist_rep(dual_euler_rep(P2), 3)
+        assert [v.weight for v in rep.vertices] == [
+            rootsys.twist(P2, v.weight, 3) for v in dual_euler_rep(P2).vertices
+        ]
+        assert quiver.check_relations(rep) == []
+        assert quiver.twist_rep(rep, -3) == dual_euler_rep(P2)
 
 
 class TestPathOracle:

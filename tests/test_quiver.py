@@ -77,7 +77,7 @@ class TestRelationSystem:
     def test_equation_count_cases(self, space):
         ka, kb = space.k + 1, space.n - space.k
         for w in itertools.islice(d1_weights(space, 2), 40):
-            sh = rootsys.weight_to_shape(space, w)
+            alpha, beta = rootsys.shape_rows(space, w)
             for boxes in quiver.double_additions(space, w):
                 eqs = quiver.relation_system(space, w, boxes)
                 (pa, qa), (pb, qb) = boxes
@@ -88,8 +88,8 @@ class TestRelationSystem:
                 elif p1 == p2 or q1 == q2:
                     assert len(eqs) == 1
                 else:
-                    pt = quiver._tilde(space, sh, p1, p2, "alpha")
-                    qt = quiver._tilde(space, sh, q1, q2, "beta")
+                    pt = alpha[p1 - 1] - alpha[p2 - 1] + p2 - p1
+                    qt = beta[q1 - 1] - beta[q2 - 1] + q2 - q1
                     if pt == 1 and qt == 1:
                         assert eqs == []
                     else:

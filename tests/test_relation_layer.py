@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivercoh import quiver, stability
+from quivercoh import quiver, rootsys
 from quivercoh.errors import DomainError, ParseError
 from quivercoh.generate import random_rep
 from quivercoh.linalg import madd, mat, zeros
@@ -22,21 +22,23 @@ from conftest import GR13, GR14, P2, P3
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _perturbed(rep, rng):
+def _perturbed(rep, rng, dens=(1, 2), num=3, drop=0.0):
     """rep with a random matrix added on every arrow slot of its support,
-    which in general leaves the relation variety."""
+    which in general leaves the relation variety; entries of the noise
+    are num-bounded over the denominators dens, and each arrow is left
+    out with chance drop."""
     arrows = []
     for i, v in enumerate(rep.vertices):
         for box, target in quiver.arrows_from(rep.space, v.weight):
             j = rep.vertex_index(target)
-            if j is None:
+            if j is None or (drop and rng.random() < drop):
                 continue
             old = rep.arrow_matrix(i, j) or zeros(rep.vertices[j].dim, v.dim)
-            noise = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in row] for row in old]
+            noise = [[Fraction(rng.randint(-num, num), rng.choice(dens)) for _ in row] for row in old]
             arrows.append((v.weight, box, madd(old, mat(noise))))
     vertices = [(v.weight, v.dim) for v in rep.vertices]
     perturbed = quiver.make_rep(rep.space, vertices, arrows)
-    return perturbed, stability._arrow_slots(perturbed)
+    return perturbed, quiver.relation_plan(perturbed).slots
 
 
 @settings(max_examples=40, deadline=None)
@@ -48,11 +50,14 @@ def test_jacobian_is_derivative_of_evaluation(space, seed):
     x = []
     for i, j in slots:
         x.extend(value for row in rep.arrow_matrix(i, j) for value in row)
-    jacobian = quiver.relation_jacobian(rep, slots)
+    jacobian = [
+        [Fraction(row.get(c, 0), scale) for c in range(len(x))]
+        for row, scale in quiver.relation_jacobian(rep, slots)
+    ]
 
     found = {(v.source, v.target, v.equation.terms): v.residual for v in quiver.check_relations(rep)}
     residuals = []
-    for src, tgt, terms, _ in quiver._relations(rep):
+    for src, tgt, terms, _, _ in quiver.relation_plan(rep).relations:
         source, target = rep.vertices[src], rep.vertices[tgt]
         residual = found.pop((source.weight, target.weight, terms), zeros(target.dim, source.dim))
         residuals.extend(value for row in residual for value in row)
@@ -67,6 +72,60 @@ def test_perturbation_leaves_the_variety():
     rng = random.Random(3)
     rep, _ = _perturbed(random_rep(GR13, rng, max_vertices=8), rng)
     assert quiver.check_relations(rep)
+
+
+def _reference_violations(rep):
+    """check_relations in plain Fraction arithmetic, from the public
+    relation_system: (source, target, terms, residual) of every relation
+    whose target and some middle vertex lie in the support and whose sum
+    of coeff * (second arrow) (first arrow) is not zero."""
+    space = rep.space
+
+    def step(i, box):
+        return rep.vertex_index(rootsys.wadd(rep.vertices[i].weight, rootsys.box_weight(space, *box)))
+
+    out = []
+    for src, v in enumerate(rep.vertices):
+        for boxes in quiver.double_additions(space, v.weight):
+            for eq in quiver.relation_system(space, v.weight, boxes):
+                tgt = rep.vertex_index(eq.target)
+                mids = [(step(src, first), second, coeff) for first, second, coeff in eq.terms]
+                if tgt is None or all(mid is None for mid, _, _ in mids):
+                    continue
+                rows, cols = rep.vertices[tgt].dim, v.dim
+                total = [[Fraction(0)] * cols for _ in range(rows)]
+                for mid, second, coeff in mids:
+                    m1 = None if mid is None else rep.arrow_matrix(src, mid)
+                    m2 = None if mid is None else rep.arrow_matrix(mid, tgt)
+                    if m1 is None or m2 is None:
+                        continue
+                    for r in range(rows):
+                        for c in range(cols):
+                            total[r][c] += coeff * sum(m2[r][x] * m1[x][c] for x in range(len(m1)))
+                if any(x for row in total for x in row):
+                    out.append((v.weight, eq.target, eq.terms, [list(row) for row in total]))
+    return out
+
+
+WIDE = (1, 2, 3, 7, 10**9 + 7, 2**31 - 1, 2**61 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=st.sampled_from([P2, P3, GR13, GR14]),
+    seed=st.integers(0, 10**6),
+    dens=st.sampled_from([(1,), (1, 2, 3), WIDE]),
+    num=st.sampled_from([1, 3, 10**12]),
+    drop=st.sampled_from([0.0, 0.3]),
+)
+def test_check_relations_matches_fraction_reference(space, seed, dens, num, drop):
+    rng = random.Random(seed)
+    rep, _ = _perturbed(random_rep(space, rng, max_vertices=8), rng, dens, num, drop)
+    found = [
+        (v.source, v.target, v.equation.terms, [list(row) for row in v.residual])
+        for v in quiver.check_relations(rep)
+    ]
+    assert found == _reference_violations(rep)
 
 
 def _rep_text(arrow):
