@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rootsys
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 from .linalg import det, mat
 from .rootsys import Space, Weight
 
@@ -143,7 +143,8 @@ def chamber_vertices(space: Space) -> tuple[tuple[Weight, int], ...]:
     verts = []
     for w in seen:
         value = bott(space, w)
-        assert value is not None and value.nu == zero
+        if value is None or value.nu != zero:
+            raise InternalCheckError(f"chamber vertex {w} has cohomology {value}")
         verts.append((w, value.degree))
     verts.sort(key=lambda vw: (vw[1], vw[0]))
     return tuple(verts)
@@ -178,7 +179,8 @@ def hasse_degree(space: Space) -> int:
             if a == i:
                 paths[b] += paths[i]
     top = [i for i, w in enumerate(weights) if degree[w] == space.dim]
-    assert len(top) == 1
+    if len(top) != 1:
+        raise InternalCheckError(f"{len(top)} chambers of top degree {space.dim}")
     return paths[top[0]]
 
 

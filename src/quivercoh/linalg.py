@@ -4,7 +4,7 @@ Matrices are immutable tuples of tuples of Fraction.  Every elimination
 over Q goes through SpanBasis, an incremental echelon basis of sparse
 primitive integer rows, reduced fraction-free: rank and det insert a
 matrix's rows into one basis, rref back-reduces it, and nullspace and
-solve read their answers off the reduced rows, scaled back to leading
+Solver read their answers off the reduced rows, scaled back to leading
 1s.  solve_gf2 works apart, on bitsets over GF(2).
 """
 
@@ -131,8 +131,12 @@ class SpanBasis:
         """Insert a sparse vector of rationals or integers; return its
         pivot and the value there before scaling, or None if it already
         lies in the span."""
-        den = lcm(*(x.denominator for x in vec.values()))
-        v = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
+        if all(type(x) is int for x in vec.values()):
+            den = 1
+            v = {j: x for j, x in vec.items() if x}
+        else:
+            den = lcm(*(x.denominator for x in vec.values()))
+            v = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
         scale = den * self._reduce(v, self.pivots)
         if not v:
             return None
@@ -231,16 +235,49 @@ def nullspace(a: Matrix) -> list[Vector]:
     return _row_basis(a).kernel()
 
 
+class Solver:
+    """Solutions of a x = b for one matrix a and many right-hand sides.
+
+    The rows of [a | I] go into one SpanBasis, back-reduced once, so each
+    kept row is [R-row | E-row] with E a = R.  A row whose pivot p lies
+    inside a gives x[p] = (E-row . b) / lead, free coordinates zero; a
+    row whose pivot lies in the I part has R-row = 0, so its E-row is a
+    left-kernel vector of a, and b is solvable only if E-row . b = 0."""
+
+    def __init__(self, a: Matrix):
+        m, n = shape(a)
+        self.ncols = n
+        basis = SpanBasis(n + m)
+        for i, row in enumerate(a):
+            v = _sparse(row)
+            v[n + i] = 1
+            basis.insert(v)
+        basis.back_reduce()
+        self._solved: list[tuple[int, int, list[tuple[int, int]]]] = []
+        self._checks: list[list[tuple[int, int]]] = []
+        for p, row in sorted(basis._rows.items()):
+            erow = [(j - n, x) for j, x in row.items() if j >= n]
+            if p < n:
+                self._solved.append((p, row[p], erow))
+            else:
+                self._checks.append(erow)
+
+    def __call__(self, b) -> Vector | None:
+        """One solution of a x = b (free coordinates zero), or None."""
+        den = lcm(*(y.denominator for y in b))
+        ib = [y.numerator * (den // y.denominator) for y in b]
+        for erow in self._checks:
+            if sum(x * ib[i] for i, x in erow):
+                return None
+        out = [Fraction(0)] * self.ncols
+        for p, lead, erow in self._solved:
+            out[p] = Fraction(sum(x * ib[i] for i, x in erow), lead * den)
+        return tuple(out)
+
+
 def solve(a: Matrix, b) -> Vector | None:
     """One solution of a x = b (free coordinates zero), or None."""
-    n = shape(a)[1]
-    rows, pivots = rref(mat([list(row) + [bv] for row, bv in zip(a, b)]))
-    if pivots and pivots[-1] == n:
-        return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    return tuple(x)
+    return Solver(a)(b)
 
 
 def solve_gf2(equations: list[tuple[tuple[int, ...], int]], nvars: int) -> list[int] | None:

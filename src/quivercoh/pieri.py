@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import linalg, rootsys
 from .errors import DomainError, InternalCheckError
-from .linalg import Matrix, SpanBasis, mat, matmul, matvec
+from .linalg import Matrix, SpanBasis, mat, matmul
 from .quiver import relation_system
 from .rootsys import Space, add_box, box_addable
 
@@ -163,13 +163,13 @@ class SchurRealization:
             rows = [
                 [self.basis[j].get(i, Fraction(0)) for j in idxs] for i in support
             ]
-            self._expand_cache[w] = (support, mat(rows) if rows else ())
-        support, matrix = self._expand_cache[w]
+            self._expand_cache[w] = (support, linalg.Solver(mat(rows) if rows else ()))
+        support, solver = self._expand_cache[w]
         rhs = [vec.get(i, Fraction(0)) for i in support]
         extra = set(vec) - set(support)
         if extra and any(vec[i] != 0 for i in extra):
             raise InternalCheckError("vector outside the realized module")
-        x = linalg.solve(matrix, rhs)
+        x = solver(rhs)
         if x is None:
             raise InternalCheckError("vector outside the realized module")
         out = [Fraction(0)] * self.dim
@@ -475,16 +475,15 @@ def two_step_coefficients(a: Shape, rows: tuple[int, int], m: int) -> tuple[Frac
         raise DomainError(f"cannot add a box in row {j} of {a1}")
     z2 = _pieri_highest(a1, j, m)
     psi1 = pieri_map(a, i, m)
-    real1 = realize(a1, m)
     kappa_block = realize(a, m).kappa * m
 
-    def component(t: int) -> tuple[Fraction, ...]:
-        vec = [z2[b * m + t] for b in range(real1.dim)]
-        return matvec(psi1.matrix, vec)
+    def coefficient(r: int, t: int) -> Fraction:
+        """Coordinate kappa x e_r of psi1 applied to the e_t slice of z2
+        (0-based r, t): one row of psi1 against that slice."""
+        row = psi1.matrix[kappa_block + r]
+        return sum((x * z2[b * m + t] for b, x in enumerate(row) if x), Fraction(0))
 
-    c_ij = component(j - 1)[kappa_block + (i - 1)]
-    c_ji = component(i - 1)[kappa_block + (j - 1)]
-    return c_ij, c_ji
+    return coefficient(i - 1, j - 1), coefficient(j - 1, i - 1)
 
 
 class MultMap:
@@ -521,7 +520,7 @@ class MultMap:
         dim = real.dim * m
         if len(columns) != dim:
             raise InternalCheckError("summand dimensions do not fill the product")
-        self._cmatrix = linalg.transpose(mat(columns))
+        self._solver = linalg.Solver(linalg.transpose(mat(columns)))
         kappa_vec = [Fraction(0)] * dim
         kappa_vec[real.kappa * m + (row - 1)] = Fraction(1)
         raw = self._raw_apply(kappa_vec)
@@ -533,7 +532,7 @@ class MultMap:
         self._norm = norm
 
     def _raw_apply(self, vec) -> list[Fraction]:
-        x = linalg.solve(self._cmatrix, vec)
+        x = self._solver(vec)
         if x is None:
             raise InternalCheckError("product vector outside the summand basis")
         return list(x[: self._target_dim])
@@ -716,7 +715,8 @@ def ext_zero(u: Ext) -> bool:
 
 def ext_matmul(A, B):
     rows, inner, cols = len(A), len(B), len(B[0])
-    assert len(A[0]) == inner
+    if len(A[0]) != inner:
+        raise InternalCheckError(f"shape mismatch {rows}x{len(A[0])} times {inner}x{cols}")
     out = []
     for i in range(rows):
         row = []

@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from . import linalg, rootsys
-from .errors import DomainError, ParseError
+from .errors import DomainError, InternalCheckError, ParseError
 from .linalg import Matrix, SpanBasis, mat, matmul, zeros
 from .rootsys import Space, Weight
 
@@ -97,7 +97,10 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
     against the given vertex order.  Vertices are reordered
     lexicographically by weight; arrow indices follow.
     """
-    raw_vertices = [(rootsys.require_d1(space, w), int(d)) for w, d in vertices]
+    raw_vertices = [
+        (rootsys.require_d1(space, w), rootsys.as_int(d, "vertex dimension"))
+        for w, d in vertices
+    ]
     if any(d < 1 for _, d in raw_vertices):
         raise DomainError("vertex multiplicities must be >= 1")
     weights = {w: i for i, (w, _) in enumerate(raw_vertices)}
@@ -513,17 +516,16 @@ def submodule_generated(rep: QuiverRep, spans) -> QuiverRep:
 def _restrict(rep: QuiverRep, bases: list[SpanBasis]) -> QuiverRep:
     keep = [i for i, b in enumerate(bases) if b.dim > 0]
     vertices = [(rep.vertices[i].weight, bases[i].dim) for i in keep]
+    # coordinates in each kept subspace, one elimination per vertex
+    solvers = {i: linalg.Solver(linalg.transpose(mat(bases[i].basis()))) for i in keep}
     arrows = []
     for a in rep.arrows:
         if a.src not in keep or a.dst not in keep:
             continue
-        src_basis = bases[a.src].basis()
-        dst_basis = bases[a.dst].basis()
-        bmat = linalg.transpose(mat(dst_basis))
         cols = []
-        for vec in src_basis:
+        for vec in bases[a.src].basis():
             image = linalg.matvec(a.matrix, vec)
-            x = linalg.solve(bmat, image)
+            x = solvers[a.dst](image)
             if x is None:
                 raise DomainError("spans are not arrow-closed")
             cols.append(x)
@@ -553,18 +555,24 @@ def quotient_by(rep: QuiverRep, spans) -> QuiverRep:
         complements.append((basis, comp))
         vertices.append((v.weight, len(comp)))
     keep = [i for i, (_, comp) in enumerate(complements) if comp]
+    # coordinates in subspace + complement, one elimination per vertex
+    solvers = {
+        i: linalg.Solver(linalg.transpose(mat(list(sub.basis()) + comp)))
+        for i, (sub, comp) in enumerate(complements)
+        if i in keep
+    }
     arrows = []
     for a in rep.arrows:
         if a.src not in keep or a.dst not in keep:
             continue
-        sub_basis, comp_src = complements[a.src]
-        dst_sub, comp_dst = complements[a.dst]
-        full = mat(list(dst_sub.basis()) + list(comp_dst))
+        comp_src = complements[a.src][1]
+        dst_sub = complements[a.dst][0]
         cols = []
         for vec in comp_src:
             image = linalg.matvec(a.matrix, vec)
-            x = linalg.solve(linalg.transpose(full), image)
-            assert x is not None
+            x = solvers[a.dst](image)
+            if x is None:
+                raise InternalCheckError("subspace and complement do not span the fiber")
             cols.append(x[dst_sub.dim :])
         arrows.append((rep.vertices[a.src].weight, a.box, linalg.transpose(mat(cols))))
     vertices = [vertices[i] for i in keep]

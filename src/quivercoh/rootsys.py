@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 
 Weight = tuple[int, ...]
 
@@ -50,8 +50,24 @@ class Space:
         return f"P^{self.n}" if self.k == 0 else f"Gr({self.k},{self.n})"
 
 
+def as_int(x, what: str) -> int:
+    """An integral number as an int; anything else is a DomainError,
+    never truncated."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} {x!r} is not an integer") from None
+    if n != x:
+        raise DomainError(f"{what} {x!r} is not an integer")
+    return n
+
+
 def check_weight(space: Space, w) -> Weight:
-    w = tuple(int(x) for x in w)
+    w = tuple(w)
+    for x in w:
+        if type(x) is not int:
+            w = tuple(as_int(x, "weight entry") for x in w)
+            break
     if len(w) != space.rank:
         raise DomainError(f"weight length {len(w)} != rank {space.rank}")
     return w
@@ -173,7 +189,8 @@ def weyl_dim(a, m: int) -> int:
         for j in range(i + 1, m):
             num *= row[i] - row[j] + j - i
             den *= j - i
-    assert num % den == 0
+    if num % den:
+        raise InternalCheckError(f"Weyl dimension of {a} on C^{m} is not an integer")
     return num // den
 
 
@@ -325,7 +342,8 @@ def omega1_slope(space: Space) -> Fraction:
 
 def first_chern(space: Space, w) -> int:
     c1 = slope(space, w) * bundle_rank(space, w)
-    assert c1.denominator == 1
+    if c1.denominator != 1:
+        raise InternalCheckError(f"first Chern class {c1} of {w} is not an integer")
     return int(c1)
 
 

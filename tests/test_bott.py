@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivercoh import bott, rootsys
 from quivercoh.bott import BottValue
 from quivercoh.errors import DomainError
 
 from conftest import GR13, GR14, P2, P3, P4
+
+GR25 = rootsys.space(2, 5)
 from test_rootsys import d1_weights
 
 
@@ -25,6 +29,50 @@ def bott_oracle(space, w):
             j -= 1
     nu = tuple(arr[i] - arr[i + 1] - 1 for i in range(len(arr) - 1))
     return (swaps, nu)
+
+
+def dot_action_bott(space, w):
+    """Independent check in the Weyl group of the Cartan matrix: reflect
+    mu = w + rho by simple roots (Cartan rows, fundamental coordinates)
+    while some coordinate is negative; a zero coordinate is a wall."""
+    cartan = bott.cartan_matrix("A", space.rank)
+    mu = [x + 1 for x in w]
+    steps = 0
+    while any(x < 0 for x in mu):
+        i = next(i for i, x in enumerate(mu) if x < 0)
+        c = mu[i]
+        mu = [x - c * a for x, a in zip(mu, cartan[i])]
+        steps += 1
+    if 0 in mu:
+        return None
+    return (steps, tuple(x - 1 for x in mu))
+
+
+@st.composite
+def spaced_d1_weights(draw):
+    space = draw(st.sampled_from([P3, GR13, GR14, GR25]))
+    w = [draw(st.integers(-12, 12) if i == space.k else st.integers(0, 5))
+         for i in range(space.rank)]
+    return space, tuple(w)
+
+
+class TestDotActionOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(spaced_d1_weights())
+    def test_matches_bott(self, case):
+        space, w = case
+        value = bott.bott(space, w)
+        expected = dot_action_bott(space, w)
+        assert (value and (value.degree, value.nu)) == expected
+
+    @pytest.mark.parametrize("space,bound", [(P3, 5), (GR13, 5), (GR14, 4), (GR25, 3)])
+    def test_matches_bott_on_a_box(self, space, bound):
+        kinds = set()
+        for w in d1_weights(space, bound):
+            value = bott.bott(space, w)
+            assert (value and (value.degree, value.nu)) == dot_action_bott(space, w)
+            kinds.add(value is None)
+        assert kinds == {True, False}  # singular and regular weights both met
 
 
 class TestBott:

@@ -6,10 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from quivercoh import cohomology, quiver, stability
+from quivercoh import cohomology, quiver, rootsys, stability
 from quivercoh.cli import main
 from quivercoh.errors import InternalCheckError
 
@@ -84,6 +85,16 @@ def test_internal_error_exits_3(workdir, monkeypatch, capsys):
     monkeypatch.setattr(cohomology, "cohomology", broken)
     assert main(["cohomology", "--rep", "rep.json"]) == 3
     assert capsys.readouterr().err == "internal error: differential squares to nonzero\n"
+
+
+def test_failed_internal_check_is_an_internal_error(workdir, monkeypatch, capsys):
+    # first Chern classes are integers on these spaces; with a patched
+    # slope the check raises InternalCheckError (an assert would vanish
+    # under python -O) and the CLI exits 3
+    monkeypatch.setattr(rootsys, "slope", lambda space, w: Fraction(1, 3))
+    assert main(["stability", "character", "--rep", "rep.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: first Chern class ") and err.count("\n") == 1
 
 
 def test_integer_matrix_still_accepted(capsys):

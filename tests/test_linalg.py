@@ -1,5 +1,5 @@
 """The one elimination routine over Q: rank, det, rref, nullspace and
-solve all read their answers off a SpanBasis, and must agree with the
+Solver all read their answers off a SpanBasis, and must agree with the
 definitions they implement."""
 
 from fractions import Fraction
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quivercoh.linalg import (
     SpanBasis,
+    Solver,
     det,
     mat,
     matvec,
@@ -129,20 +130,20 @@ WIDE = st.one_of(
 )
 
 
-def wide_matrices(max_rows=5, max_cols=6, square=False):
+def wide_matrices(max_rows=5, max_cols=6, square=False, entries=WIDE):
     """Random rows, then rows that are linear combinations of earlier
     ones, so rank deficiency is common."""
 
     def build(size, data):
         m, n = size
-        rows = [data.draw(st.lists(WIDE, min_size=n, max_size=n))]
+        rows = [data.draw(st.lists(entries, min_size=n, max_size=n))]
         while len(rows) < m:
             if data.draw(st.booleans()):
                 i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
                 a, b = data.draw(WIDE), data.draw(WIDE)
                 rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
             else:
-                rows.append(data.draw(st.lists(WIDE, min_size=n, max_size=n)))
+                rows.append(data.draw(st.lists(entries, min_size=n, max_size=n)))
         return mat(rows)
 
     sizes = st.tuples(st.integers(1, max_rows), st.integers(1, max_cols))
@@ -188,3 +189,36 @@ def test_wide_range_rref_kernel_and_basis(a):
 @given(wide_matrices(max_rows=4, square=True))
 def test_wide_range_det_is_the_leibniz_expansion(a):
     assert det(a) == leibniz(a)
+
+
+def reference_solve(a, b):
+    """Plain Fraction Gauss-Jordan on [a | b]: the solution with free
+    coordinates zero, or None when the last column holds a pivot."""
+    n = len(a[0])
+    rows, pivots = gauss_jordan([list(row) + [y] for row, y in zip(a, b)])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][n]
+    return tuple(x)
+
+
+SPARSE = st.one_of(st.just(Fraction(0)), WIDE)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_matrices(max_rows=6, max_cols=5, entries=SPARSE), st.data())
+def test_solver_matches_gauss_jordan(a, data):
+    """One Solver answers several right-hand sides, consistent (a x) and
+    arbitrary, exactly as a separate elimination of each [a | b]."""
+    m, n = len(a), len(a[0])
+    solver = Solver(a)
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            b = matvec(a, data.draw(st.lists(SPARSE, min_size=n, max_size=n)))
+        else:
+            b = data.draw(st.lists(SPARSE, min_size=m, max_size=m))
+        expected = reference_solve(a, b)
+        assert solver(b) == expected
+        assert solve(a, b) == expected

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from quivercoh import linalg, pieri, rootsys
-from quivercoh.errors import DomainError
-from quivercoh.linalg import matmul
+from quivercoh.errors import DomainError, InternalCheckError
+from quivercoh.linalg import matmul, matvec
 from quivercoh.pieri import (
     add_box,
     box_addable,
@@ -33,6 +33,19 @@ def partitions_up_to(total, max_parts):
                 rec(nxt, remaining - part, part)
     rec((), total, total)
     return sorted(set(out))
+
+
+def two_step_sweep():
+    """Every (a, (i, j), m) with at most 4 boxes in a and m <= 4 along
+    which two boxes can be added, rows[0] first."""
+    cases = []
+    for m in range(1, 5):
+        for a in partitions_up_to(4, m):
+            for i in range(1, m + 1):
+                if box_addable(a, i, m):
+                    a1 = add_box(a, i)
+                    cases += [(a, (i, j), m) for j in range(1, m + 1) if box_addable(a1, j, m)]
+    return cases
 
 
 class TestRealize:
@@ -81,6 +94,19 @@ class TestRealize:
         with pytest.raises(DomainError):
             realize((9,), 4)
 
+    def test_expand_rejects_vectors_outside_the_module(self):
+        # the module (1, 1) on C^2 is spanned by e1 x e2 - e2 x e1; the
+        # ambient vector e1 x e2 has its weight but lies outside it
+        real = realize((1, 1), 2)
+        e1_e2 = real.ambient.index[((1, 0), (0, 1))]
+        assert real.expand(dict(real.basis[0]), (1, 1)) == [1]
+        with pytest.raises(InternalCheckError):
+            real.expand({e1_e2: Fraction(1)}, (1, 1))
+        # so does a vector with support off the weight space of the module
+        e1_e1 = real.ambient.index[((1, 0), (1, 0))]
+        with pytest.raises(InternalCheckError):
+            real.expand({e1_e1: Fraction(1)}, (1, 1))
+
 
 class TestSSYT:
     def test_counts_match_dimensions(self):
@@ -127,26 +153,34 @@ class TestTwoStep:
         assert two_step_coefficients((), (1, 2), 2) == (Fraction(1), Fraction(-1))
 
     def test_full_sweep_ratios(self):
-        for m in range(1, 5):
-            for a in partitions_up_to(4, m):
-                for i in range(1, m + 1):
-                    if not box_addable(a, i, m):
-                        continue
-                    a1 = add_box(a, i)
-                    for j in range(1, m + 1):
-                        if not box_addable(a1, j, m):
-                            continue
-                        c_ij, c_ji = two_step_coefficients(a, (i, j), m)
-                        assert c_ij == 1
-                        padded = list(a) + [0] * (m - len(a))
-                        if i < j:
-                            assert c_ji == Fraction(
-                                -1, padded[i - 1] - padded[j - 1] + j - i
-                            )
-                        elif i > j:
-                            assert c_ji == 0
-                        else:
-                            assert c_ji == 1
+        for a, (i, j), m in two_step_sweep():
+            c_ij, c_ji = two_step_coefficients(a, (i, j), m)
+            assert c_ij == 1
+            padded = list(a) + [0] * (m - len(a))
+            if i < j:
+                assert c_ji == Fraction(-1, padded[i - 1] - padded[j - 1] + j - i)
+            elif i > j:
+                assert c_ji == 0
+            else:
+                assert c_ji == 1
+
+    def test_coordinates_of_the_full_composite(self):
+        # the two coefficients are two coordinates of psi1 applied to the
+        # e_j and e_i slices of the second map's highest image
+        cases = two_step_sweep()
+        assert len(cases) == 147
+        for a, (i, j), m in cases:
+            z2 = pieri.pieri_map(add_box(a, i), j, m).matrix
+            psi1 = pieri_map(a, i, m).matrix
+            dim1 = realize(add_box(a, i), m).dim
+
+            def image(t):
+                return matvec(psi1, [z2[b * m + t][0] for b in range(dim1)])
+
+            assert two_step_coefficients(a, (i, j), m) == (
+                image(j - 1)[i - 1],
+                image(i - 1)[j - 1],
+            )
 
     def test_same_column_order_forced(self):
         # two boxes in one column can only be added top first

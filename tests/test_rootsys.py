@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivercoh import rootsys
+from quivercoh import quiver, rootsys
 from quivercoh.errors import DomainError
 from quivercoh.rootsys import Space
 
@@ -26,6 +26,23 @@ def d1_weights(space, bound):
         else:
             ranges.append(range(0, bound + 1))
     return itertools.product(*ranges)
+
+
+class TestIntegralInput:
+    def test_non_integral_weight_entries_are_rejected(self):
+        for bad in [(0.5, 0.5), (Fraction(1, 2), 0), ("1", 0), (float("nan"), 0)]:
+            with pytest.raises(DomainError):
+                rootsys.check_weight(P2, bad)
+        # truncation used to answer with the arrows of (0, 0)
+        with pytest.raises(DomainError):
+            quiver.arrows_from(P2, (0.5, 0.5))
+        with pytest.raises(DomainError):
+            quiver.make_rep(P2, [((0, 0), 1.5)], [])
+
+    def test_integral_entries_of_any_type_are_kept(self):
+        assert rootsys.check_weight(P2, [1, -2]) == (1, -2)
+        assert rootsys.check_weight(P2, (2.0, Fraction(-3))) == (2, -3)
+        assert all(type(x) is int for x in rootsys.check_weight(P2, (2.0, Fraction(-3))))
 
 
 class TestEps:
