@@ -9,10 +9,13 @@ chamber adjacency graph anticommutes; the resulting sequence is a
 complex and its cohomology, degree by degree, is the cohomology of the
 bundle.
 
-Truncations keep only segment compositions of at most a given number of
-steps.  The one-step truncation is itself a complex; intermediate
-truncations are reported as plain sequences with a caveat, since no
-inclusion structure is claimed for them.
+The representation is validated once and its relation plan kept: one
+walk over the up-mirrors of the nonsingular vertices reads each segment
+product from the plan (quiver.segment_product), and the full complex
+and its truncations, which keep only segments of at most a given number
+of steps, are assembled from it.  The one-step truncation is itself a
+complex; intermediate truncations are reported as plain sequences with
+a caveat, since no inclusion structure is claimed for them.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from functools import lru_cache
 from . import bott, linalg, rootsys
 from .bott import chamber_graph, chamber_key, mirrors
 from .errors import DomainError, InternalCheckError
-from .linalg import Matrix, matmul, solve_gf2, zeros
-from .quiver import QuiverRep, check_relations
+from .linalg import Matrix, matmul, solve_gf2
+from .quiver import QuiverRep, RelationPlan, check_relations, relation_plan, segment_product
 from .rootsys import Space, Weight
 
 
@@ -39,11 +42,14 @@ class GradedPiece:
     blocks: tuple[tuple[int, int], ...]  # (vertex index, multiplicity)
 
 
-def graded_cohomology(rep: QuiverRep, checked: bool = False) -> list[GradedPiece]:
+def graded_cohomology(rep: QuiverRep) -> list[GradedPiece]:
     """Cohomology of the associated graded bundle, grouped by module and
     degree.  Singular vertices contribute nothing."""
-    if not checked:
-        _require_valid(rep)
+    _checked_plan(rep)
+    return _graded(rep)
+
+
+def _graded(rep: QuiverRep) -> list[GradedPiece]:
     groups: dict[tuple[Weight, int], list[tuple[int, int]]] = {}
     for i, v in enumerate(rep.vertices):
         value = bott.bott(rep.space, v.weight)
@@ -56,14 +62,16 @@ def graded_cohomology(rep: QuiverRep, checked: bool = False) -> list[GradedPiece
     ]
 
 
-def _require_valid(rep: QuiverRep):
-    violations = check_relations(rep)
-    if violations:
+def _checked_plan(rep: QuiverRep) -> RelationPlan:
+    """rep's relation plan; a DomainError unless every relation holds."""
+    plan = relation_plan(rep)
+    if violations := check_relations(rep, plan):
         first = violations[0]
         raise DomainError(
             f"representation violates {len(violations)} relation(s); first at "
             f"{first.source} -> {first.target}"
         )
+    return plan
 
 
 @lru_cache(maxsize=None)
@@ -126,98 +134,72 @@ class CohomologyComplex:
     is_complex: bool
 
 
-def _segment_product(rep: QuiverRep, start: Weight, box, steps: int) -> Matrix | None:
-    """Product of the representation's arrow matrices along the straight
-    segment, or None when an intermediate vertex is missing."""
-    space = rep.space
-    xi = rootsys.box_weight(space, *box)
-    w = start
-    idx = rep.vertex_index(w)
-    if idx is None:
-        return None
-    product = linalg.identity(rep.vertices[idx].dim)
-    for _ in range(steps):
-        nxt_w = rootsys.wadd(w, xi)
-        nxt = rep.vertex_index(nxt_w)
-        if nxt is None:
-            return None
-        matrix = rep.arrow_matrix(idx, nxt)
-        if matrix is None:
-            matrix = zeros(rep.vertices[nxt].dim, rep.vertices[idx].dim)
-        product = matmul(matrix, product)
-        w, idx = nxt_w, nxt
-    return product
-
-
-def build_complex(
-    rep: QuiverRep,
-    max_steps: int | None = None,
-    gauge_twist: frozenset = frozenset(),
-    checked: bool = False,
-) -> CohomologyComplex:
-    """Assemble the differentials.  With max_steps = None the result must
-    square to zero (hard error otherwise); truncations keep only segment
-    compositions of at most max_steps arrows."""
-    if not checked:
-        _require_valid(rep)
+def _walk(rep: QuiverRep, gauge_twist: frozenset) -> list[tuple]:
+    """Validate rep, then walk every up-mirror of every nonsingular vertex
+    once.  Per class, (nu, degrees, blocks, parts): parts maps each degree
+    d followed by d + 1 to the differential's (rows, columns, pieces), a
+    piece (row, column, steps, entries) being the signed segment product
+    from one vertex to one in the next degree, where it is not zero."""
+    plan = _checked_plan(rep)
     space = rep.space
     signs = _sign_table(space, gauge_twist)
-    pieces = graded_cohomology(rep, checked=True)
+    index = {v.weight: i for i, v in enumerate(rep.vertices)}
     by_nu: dict[Weight, dict[int, tuple[tuple[int, int], ...]]] = {}
-    for piece in pieces:
+    for piece in _graded(rep):
         by_nu.setdefault(piece.nu, {})[piece.degree] = piece.blocks
-
-    classes = []
-    is_complex = True
+    walked = []
     for nu in sorted(by_nu):
         blocks = by_nu[nu]
         degrees = tuple(sorted(blocks))
-        maps = {}
+        parts = {}
         for d in degrees:
             if d + 1 not in blocks:
                 continue
-            rows = sum(dim for _, dim in blocks[d + 1])
-            cols = sum(dim for _, dim in blocks[d])
-            entries = [[Fraction(0)] * cols for _ in range(rows)]
-            col_off = 0
-            for src_idx, src_dim in blocks[d]:
-                src_w = rep.vertices[src_idx].weight
-                found = {}
+            rows, offsets = 0, {}
+            for dst, dim in blocks[d + 1]:
+                offsets[dst] = rows
+                rows += dim
+            cols, pieces = 0, []
+            for src, dim in blocks[d]:
+                src_w = rep.vertices[src].weight
+                src_key = chamber_key(space, src_w)
+                found = set()
                 for mirror in mirrors(space, src_w):
-                    if not mirror.up:
+                    if not mirror.up or (dst := index.get(mirror.target)) not in offsets:
                         continue
-                    if max_steps is not None and mirror.steps > max_steps:
-                        continue
-                    row_off = 0
-                    for dst_idx, dst_dim in blocks[d + 1]:
-                        if rep.vertices[dst_idx].weight == mirror.target:
-                            if dst_idx in found:
-                                raise InternalCheckError(
-                                    "two directions join one vertex pair"
-                                )
-                            found[dst_idx] = True
-                            product = _segment_product(
-                                rep, src_w, mirror.box, mirror.steps
-                            )
-                            if product is not None:
-                                sign = signs[
-                                    (
-                                        chamber_key(space, src_w),
-                                        chamber_key(space, mirror.target),
-                                    )
-                                ]
-                                for i in range(dst_dim):
-                                    for j in range(src_dim):
-                                        entries[row_off + i][col_off + j] = (
-                                            sign * product[i][j]
-                                        )
-                        row_off += dst_dim
-                col_off += src_dim
-            maps[d] = linalg.mat(entries)
-        for d in degrees:
-            if d in maps and d + 1 in maps:
-                if not linalg.is_zero_matrix(matmul(maps[d + 1], maps[d])):
-                    is_complex = False
+                    if dst in found:
+                        raise InternalCheckError("two directions join one vertex pair")
+                    found.add(dst)
+                    product = segment_product(plan, src, mirror.box, mirror.steps)
+                    if product is not None:
+                        matrix, den = product
+                        sign = signs[(src_key, chamber_key(space, mirror.target))]
+                        entries = [[Fraction(sign * x, den) for x in row] for row in matrix]
+                        pieces.append((offsets[dst], cols, mirror.steps, entries))
+                cols += dim
+            parts[d] = (rows, cols, pieces)
+        walked.append((nu, degrees, blocks, parts))
+    return walked
+
+
+def _assemble(space: Space, walked: list[tuple], max_steps: int | None) -> CohomologyComplex:
+    """The differentials of a walk, keeping only segments of at most
+    max_steps steps when it is given.  The full complex and the one-step
+    truncation must square to zero (hard error otherwise)."""
+    classes = []
+    is_complex = True
+    for nu, degrees, blocks, parts in walked:
+        maps = {}
+        for d, (rows, cols, pieces) in parts.items():
+            entries = [[Fraction(0)] * cols for _ in range(rows)]
+            for row, col, steps, block in pieces:
+                if max_steps is None or steps <= max_steps:
+                    for r, values in enumerate(block):
+                        entries[row + r][col : col + len(values)] = values
+            maps[d] = tuple(map(tuple, entries))
+        for d in maps:
+            if d + 1 in maps and not linalg.is_zero_matrix(matmul(maps[d + 1], maps[d])):
+                is_complex = False
         classes.append(ClassComplex(nu, degrees, blocks, maps))
     if not is_complex and (max_steps is None or max_steps == 1):
         raise InternalCheckError(
@@ -225,6 +207,12 @@ def build_complex(
             + ("" if max_steps is None else " in the one-step truncation")
         )
     return CohomologyComplex(space, tuple(classes), max_steps, is_complex)
+
+
+def build_complex(rep: QuiverRep, gauge_twist: frozenset = frozenset()) -> CohomologyComplex:
+    """Assemble the differentials of the full complex; a hard error unless
+    they square to zero."""
+    return _assemble(rep.space, _walk(rep, gauge_twist), None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,9 +300,10 @@ class TruncatedResult:
 def truncated_complex(rep: QuiverRep, nsteps: int) -> TruncatedResult:
     if nsteps < 1:
         raise DomainError("truncation needs at least one step")
-    full = build_complex(rep)
-    truncated = build_complex(rep, max_steps=nsteps, checked=True)
-    is_full = _same_maps(full, truncated)
+    walked = _walk(rep, frozenset())
+    full = _assemble(rep.space, walked, None)
+    truncated = _assemble(rep.space, walked, nsteps)
+    is_full = full.classes == truncated.classes
     table = _homology_table(rep.space, truncated)
     caveat = None
     if not is_full and nsteps > 1:
@@ -323,17 +312,3 @@ def truncated_complex(rep: QuiverRep, nsteps: int) -> TruncatedResult:
             "cohomology is claimed"
         )
     return TruncatedResult(nsteps, is_full, truncated.is_complex, table, caveat)
-
-
-def _same_maps(a: CohomologyComplex, b: CohomologyComplex) -> bool:
-    if len(a.classes) != len(b.classes):
-        return False
-    for ca, cb in zip(a.classes, b.classes):
-        if ca.nu != cb.nu or ca.degrees != cb.degrees:
-            return False
-        if set(ca.maps) != set(cb.maps):
-            return False
-        for d in ca.maps:
-            if ca.maps[d] != cb.maps[d]:
-                return False
-    return True

@@ -11,8 +11,9 @@ representation.  relation_plan walks them once per call into integer
 form: each arrow a primitive integer matrix over one denominator, each
 relation integer path weights over one scale.  check_relations evaluates
 the plan, a relation holding iff its integer sum is zero (only a violated
-one is rebuilt as a rational residual), and relation_jacobian linearizes
-it into sparse integer rows.  Relation coefficients depend only on the
+one is rebuilt as a rational residual), relation_jacobian linearizes
+it into sparse integer rows, and segment_product follows its step table
+along a straight segment.  Relation coefficients depend only on the
 box rows (p1, p2, q1, q2) and on ptilde, qtilde of the source shape, so
 they are interned under that key.  Input is validated at the boundary
 (make_rep, rep_from_json and rep_from_data, the public relation_system);
@@ -120,18 +121,22 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
     # one shared tuple per box pair keeps the stored arrows small
     boxes = {box: box for box, _ in _box_shifts(space)}
     for entry in arrows:
-        if len(entry) == 3:
-            src_w, box, matrix = entry
-            src_w = rootsys.check_weight(space, src_w)
+        *ends, box, matrix = entry
+        try:
+            p, q = box
+        except (TypeError, ValueError):
+            raise DomainError(f"box pair {box!r} does not have two entries") from None
+        box = rootsys.as_ints((p, q), "box entry")
+        if len(ends) == 1:
+            src_w = rootsys.check_weight(space, ends[0])
             dst_w = rootsys.wadd(src_w, rootsys.box_weight(space, *box))
             if src_w not in weights or dst_w not in weights:
                 raise DomainError(f"arrow {src_w} -> {dst_w} leaves the vertices")
             src_old, dst_old = weights[src_w], weights[dst_w]
         else:
-            src_old, dst_old, box, matrix = entry
+            src_old, dst_old = ends
             if src_old not in old_to_new or dst_old not in old_to_new:
                 raise DomainError(f"arrow {src_old} -> {dst_old}: no such vertex index")
-        box = (int(box[0]), int(box[1]))
         src = old_to_new[src_old]
         dst = old_to_new[dst_old]
         sw, dw = new_vertices[src].weight, new_vertices[dst].weight
@@ -250,7 +255,8 @@ def _relation_terms(p1: int, p2: int, q1: int, q2: int, pt: int, qt: int):
 class RelationPlan:
     """The relations of one representation, walked once for integer
     arithmetic.  arrows maps (src, dst) to (rows, columns, den), the
-    matrix being rows / den with rows primitive; slots are the quiver
+    matrix being rows / den with rows primitive; steps[i] maps each box
+    to the support vertex it leads to from vertex i; slots are the quiver
     arrows between support vertices, present or not.  relations holds
     (src, tgt, terms, scale, paths) per relation whose target and some
     middle vertex lie in the support: terms as in RelationEquation, paths
@@ -259,6 +265,7 @@ class RelationPlan:
     (1 if missing) and scale is the least making every weight integral."""
 
     arrows: dict
+    steps: list[dict[Box, int]]
     slots: list[tuple[int, int]]
     relations: list[tuple]
 
@@ -307,7 +314,25 @@ def relation_plan(rep: QuiverRep) -> RelationPlan:
                     paths = [(mid, num * (scale // den)) for mid, num, den in paths]
                     relations.append((src, tgt, terms, scale, paths))
     slots = [(i, j) for i, step in enumerate(steps) for j in step.values()]
-    return RelationPlan(arrows, slots, relations)
+    return RelationPlan(arrows, steps, slots, relations)
+
+
+def segment_product(plan: RelationPlan, i: int, box: Box, steps: int):
+    """Product of the arrow matrices along steps >= 1 steps of box from
+    vertex i, as (integer matrix, denominator), or None when a vertex or
+    an arrow on the way is missing: the product is then zero."""
+    product, den = None, 1
+    for _ in range(steps):
+        j = plan.steps[i].get(box)
+        arrow = plan.arrows.get((i, j))
+        if arrow is None:
+            return None
+        rows, _, d = arrow
+        if product is not None:
+            cols = list(zip(*product))
+            rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        product, den, i = rows, den * d, j
+    return product, den
 
 
 @dataclass(frozen=True)

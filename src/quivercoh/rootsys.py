@@ -62,12 +62,17 @@ def as_int(x, what: str) -> int:
     return n
 
 
-def check_weight(space: Space, w) -> Weight:
-    w = tuple(w)
-    for x in w:
+def as_ints(xs, what: str) -> tuple[int, ...]:
+    """xs as a tuple of ints read by as_int; an all-int tuple is kept."""
+    xs = tuple(xs)
+    for x in xs:
         if type(x) is not int:
-            w = tuple(as_int(x, "weight entry") for x in w)
-            break
+            return tuple(as_int(x, what) for x in xs)
+    return xs
+
+
+def check_weight(space: Space, w) -> Weight:
+    w = as_ints(w, "weight entry")
     if len(w) != space.rank:
         raise DomainError(f"weight length {len(w)} != rank {space.rank}")
     return w
@@ -167,7 +172,7 @@ def reflect(space: Space, phi, w) -> Weight:
 
 
 def check_partition(a) -> tuple[int, ...]:
-    a = tuple(int(x) for x in a)
+    a = as_ints(a, "partition part")
     if any(x < 0 for x in a):
         raise DomainError(f"negative part in partition {a}")
     if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
@@ -213,7 +218,7 @@ def make_shape(space: Space, alpha, beta, t: int) -> BundleShape:
         raise DomainError(f"alpha {alpha} has more than {space.k + 1} parts")
     if len(beta) > space.n - space.k:
         raise DomainError(f"beta {beta} has more than {space.n - space.k} parts")
-    t = int(t)
+    t = as_int(t, "twist")
     if len(alpha) == space.k + 1 and alpha[-1] > 0:
         m = alpha[-1]
         alpha = check_partition(tuple(x - m for x in alpha))

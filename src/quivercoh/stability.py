@@ -29,6 +29,7 @@ from .quiver import (
     check_relations,
     relation_jacobian,
     relation_plan,
+    segment_product,
 )
 from .rootsys import Weight
 
@@ -98,24 +99,15 @@ def check_witness(rep: QuiverRep, spans, ch: Character) -> WitnessReport:
 
 
 def _segment_support(rep: QuiverRep) -> tuple[list[int], tuple[int, int]]:
-    """Vertex order along a single straight segment, with its box pair."""
-    space = rep.space
-    if len(rep.vertices) == 1:
-        return [0], (1, 1)
-    weights = [v.weight for v in rep.vertices]
-    for box in rootsys.omega1_boxes(space):
-        xi = rootsys.box_weight(space, *box)
-        for start in range(len(weights)):
+    """Vertex order along a single straight segment, with its box pair,
+    followed through the step table of rep's relation plan."""
+    steps = relation_plan(rep).steps
+    for box in rootsys.omega1_boxes(rep.space):
+        for start in range(len(steps)):
             chain = [start]
-            w = weights[start]
-            while True:
-                nxt = rootsys.wadd(w, xi)
-                idx = rep.vertex_index(nxt)
-                if idx is None:
-                    break
-                chain.append(idx)
-                w = nxt
-            if len(chain) == len(weights):
+            while (nxt := steps[chain[-1]].get(box)) is not None:
+                chain.append(nxt)
+            if len(chain) == len(steps):
                 return chain, box
     raise DomainError("support is not a single segment")
 
@@ -123,7 +115,8 @@ def _segment_support(rep: QuiverRep) -> tuple[list[int], tuple[int, int]]:
 def interval_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
     """Decomposition of a segment representation into intervals [s, t]
     (positions along the chain, inclusive), by composite ranks."""
-    chain, _ = _segment_support(rep)
+    chain, box = _segment_support(rep)
+    plan = relation_plan(rep)
     dims = [rep.vertices[i].dim for i in chain]
     n = len(chain)
 
@@ -132,13 +125,8 @@ def interval_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
             return 0
         if s == t:
             return dims[s]
-        product = linalg.identity(dims[s])
-        for pos in range(s, t):
-            m = rep.arrow_matrix(chain[pos], chain[pos + 1])
-            if m is None:
-                m = linalg.zeros(dims[pos + 1], dims[pos])
-            product = matmul(m, product)
-        return linalg.rank(product)
+        product = segment_product(plan, chain[s], box, t - s)
+        return 0 if product is None else linalg.rank(product[0])
 
     out = {}
     for s in range(n):

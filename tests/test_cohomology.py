@@ -154,12 +154,28 @@ class TestTruncated:
             truncated_complex(dual_euler_rep(P2), 0)
 
 
+def _longest_segment(rep) -> int:
+    """Steps of the longest up-mirror segment with both ends in rep, 0 if
+    there is none."""
+    weights = {v.weight for v in rep.vertices}
+    return max(
+        (
+            mirror.steps
+            for w in weights
+            if bott.bott(rep.space, w) is not None
+            for mirror in bott.mirrors(rep.space, w)
+            if mirror.up and mirror.target in weights
+        ),
+        default=0,
+    )
+
+
 class TestRandomSuite:
     """Complex property, gauge independence, Euler characteristic."""
 
-    @pytest.mark.parametrize("space_name,seed", [("P2", 101), ("GR13", 202)])
+    @pytest.mark.parametrize("space_name,seed", [("P2", 101), ("GR13", 202), ("GR14", 303)])
     def test_fifty_reps_each(self, space_name, seed):
-        space = {"P2": P2, "GR13": GR13}[space_name]
+        space = {"P2": P2, "GR13": GR13, "GR14": GR14}[space_name]
         rng = random.Random(seed)
         twist = frozenset({chamber_key(space, chamber_vertices(space)[1][0])})
         for _ in range(50):
@@ -172,6 +188,14 @@ class TestRandomSuite:
             assert table.euler_characteristic() == graded_table(rep).euler_characteristic()
             retwisted = cohomology.cohomology(rep, gauge_twist=twist)
             assert table.rows == retwisted.rows
+            # the longest segment joining two vertices bounds the truncations
+            longest = _longest_segment(rep)
+            full = [truncated_complex(rep, n).is_full for n in range(1, longest + 2)]
+            assert full == sorted(full)  # once full, full for every longer bound
+            for n in range(max(longest, 1), longest + 2):
+                result = truncated_complex(rep, n)
+                assert result.is_full and result.caveat is None
+                assert result.table == table
 
     def test_additivity_over_direct_sums(self, rng):
         done = 0

@@ -46,6 +46,21 @@ class TestArrowsFrom:
             quiver.arrows_from(P2, (0, -1))
 
 
+class TestMakeRep:
+    @pytest.mark.parametrize("box", [(1.5, 1), (1, 1, 7), (1,), 5, "11", (Fraction(1, 2), 1)])
+    def test_malformed_box_is_a_domain_error(self, box):
+        vertices = [((1, 0), 1), ((-1, 1), 1)]
+        for arrow in [((1, 0), box, [[1]]), (0, 1, box, [[1]])]:
+            with pytest.raises(DomainError):
+                quiver.make_rep(P2, vertices, [arrow])
+
+    def test_integral_box_entries_of_any_type_are_kept(self):
+        vertices = [((1, 0), 1), ((-1, 1), 1)]
+        rep = quiver.make_rep(P2, vertices, [((1, 0), (1.0, Fraction(1)), [[1]])])
+        assert rep == quiver.make_rep(P2, vertices, [((1, 0), (1, 1), [[1]])])
+        assert all(type(x) is int for x in rep.arrows[0].box)
+
+
 class TestRelationSystem:
     def test_case_i4_empty(self):
         # both tilde values 1: no equations at all

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivercoh import quiver, rootsys
+from quivercoh import pieri, quiver, rootsys
 from quivercoh.errors import DomainError
 from quivercoh.rootsys import Space
 
@@ -43,6 +43,27 @@ class TestIntegralInput:
         assert rootsys.check_weight(P2, [1, -2]) == (1, -2)
         assert rootsys.check_weight(P2, (2.0, Fraction(-3))) == (2, -3)
         assert all(type(x) is int for x in rootsys.check_weight(P2, (2.0, Fraction(-3))))
+
+    def test_non_integral_partition_parts_are_rejected(self):
+        # truncation used to read each of these as the shape (1,) or (2, 1)
+        calls = [
+            lambda: rootsys.check_partition((1.5,)),
+            lambda: rootsys.check_partition((2, Fraction(1, 2))),
+            lambda: rootsys.check_partition(("1",)),
+            lambda: rootsys.weyl_dim((2.7, 1), 3),
+            lambda: pieri.realize((1.5,), 2),
+            lambda: rootsys.make_shape(GR13, (1,), (), 1.5),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+    def test_integral_partition_parts_of_any_type_are_kept(self):
+        parts = rootsys.check_partition((2.0, Fraction(1), 0))
+        assert parts == (2, 1) and all(type(x) is int for x in parts)
+        assert rootsys.weyl_dim((2.0, 1), 3) == rootsys.weyl_dim((2, 1), 3) == 8
+        shape = rootsys.make_shape(GR13, (1,), (), Fraction(2))
+        assert shape == rootsys.make_shape(GR13, (1,), (), 2) and type(shape.t) is int
 
 
 class TestEps:
