@@ -32,27 +32,19 @@ class BottValue:
     nu: Weight
 
 
-def _merge_count(seq: list[int]) -> tuple[int, list[int]]:
-    """Number of ascending pairs and the descending sort, by merge count."""
-    n = len(seq)
-    if n <= 1:
-        return 0, list(seq)
-    mid = n // 2
-    cl, left = _merge_count(seq[:mid])
-    cr, right = _merge_count(seq[mid:])
-    merged = []
-    i = j = cross = 0
-    while i < len(left) and j < len(right):
-        if left[i] >= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            cross += len(left) - i
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return cl + cr + cross, merged
+def _shifted_eps(w: Weight) -> list[int]:
+    """eps(w + g), the last entry pinned to 0: suffix sums of w + g."""
+    e = [0] * (len(w) + 1)
+    total = 0
+    for i in range(len(w) - 1, -1, -1):
+        total += w[i] + 1
+        e[i] = total
+    return e
+
+
+def _from_shifted(e) -> Weight:
+    """The weight whose eps(w + g) is e, up to a common shift of e."""
+    return tuple(e[i] - e[i + 1] - 1 for i in range(len(e) - 1))
 
 
 def bott(space: Space, w) -> BottValue | None:
@@ -60,16 +52,11 @@ def bott(space: Space, w) -> BottValue | None:
 
     Returns None when the shifted weight is singular (all groups zero).
     """
-    w = rootsys.require_d1(space, w)
-    e = rootsys.to_eps(space, rootsys.wadd(w, rootsys.g_weight(space)))
+    e = _shifted_eps(rootsys.require_d1(space, w))
     if len(set(e)) != len(e):
         return None
-    inversions, ordered = _merge_count(list(e))
-    nu = rootsys.wsub(
-        rootsys.from_eps(space, [x - ordered[-1] for x in ordered]),
-        rootsys.g_weight(space),
-    )
-    return BottValue(inversions, nu)
+    inversions = sum(x < y for i, x in enumerate(e) for y in e[i + 1 :])
+    return BottValue(inversions, _from_shifted(sorted(e, reverse=True)))
 
 
 def chamber_key(space: Space, w) -> tuple[int, ...]:
@@ -103,26 +90,21 @@ def mirrors(space: Space, w) -> list[Mirror]:
     strictly between the two swapped values, which is exactly the
     condition that the segment to the target crosses a single wall.
     """
-    value = bott(space, w)
-    if value is None:
+    e = _shifted_eps(rootsys.require_d1(space, w))
+    if len(set(e)) != len(e):
         raise DomainError(f"weight {w} is singular; no mirrors")
-    g = rootsys.g_weight(space)
-    e = list(rootsys.to_eps(space, rootsys.wadd(w, g)))
     out = []
     for p, q in rootsys.omega1_boxes(space):
         i = space.k + 1 - p          # 0-based slot in the first block
         j = space.k + q              # 0-based slot in the second block
         u, v = e[i], e[j]
         lo, hi = min(u, v), max(u, v)
-        if any(lo < x < hi for idx, x in enumerate(e) if idx not in (i, j)):
+        # the entries are distinct, so neither u nor v lies strictly between
+        if any(lo < x < hi for x in e):
             continue
         swapped = list(e)
         swapped[i], swapped[j] = v, u
-        last = swapped[-1]
-        target = rootsys.wsub(
-            rootsys.from_eps(space, [x - last for x in swapped]), g
-        )
-        out.append(Mirror(target, (p, q), abs(u - v), up=u > v))
+        out.append(Mirror(_from_shifted(swapped), (p, q), abs(u - v), up=u > v))
     return out
 
 

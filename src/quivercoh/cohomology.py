@@ -145,8 +145,11 @@ def _walk(rep: QuiverRep, gauge_twist: frozenset) -> list[tuple]:
     signs = _sign_table(space, gauge_twist)
     index = {v.weight: i for i, v in enumerate(rep.vertices)}
     by_nu: dict[Weight, dict[int, tuple[tuple[int, int], ...]]] = {}
+    keys = {}  # chamber key per nonsingular vertex index
     for piece in _graded(rep):
         by_nu.setdefault(piece.nu, {})[piece.degree] = piece.blocks
+        for i, _ in piece.blocks:
+            keys[i] = chamber_key(space, rep.vertices[i].weight)
     walked = []
     for nu in sorted(by_nu):
         blocks = by_nu[nu]
@@ -161,10 +164,8 @@ def _walk(rep: QuiverRep, gauge_twist: frozenset) -> list[tuple]:
                 rows += dim
             cols, pieces = 0, []
             for src, dim in blocks[d]:
-                src_w = rep.vertices[src].weight
-                src_key = chamber_key(space, src_w)
                 found = set()
-                for mirror in mirrors(space, src_w):
+                for mirror in mirrors(space, rep.vertices[src].weight):
                     if not mirror.up or (dst := index.get(mirror.target)) not in offsets:
                         continue
                     if dst in found:
@@ -173,7 +174,7 @@ def _walk(rep: QuiverRep, gauge_twist: frozenset) -> list[tuple]:
                     product = segment_product(plan, src, mirror.box, mirror.steps)
                     if product is not None:
                         matrix, den = product
-                        sign = signs[(src_key, chamber_key(space, mirror.target))]
+                        sign = signs[(keys[src], keys[dst])]
                         entries = [[Fraction(sign * x, den) for x in row] for row in matrix]
                         pieces.append((offsets[dst], cols, mirror.steps, entries))
                 cols += dim

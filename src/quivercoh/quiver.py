@@ -9,13 +9,16 @@ and are immutable after construction.
 This module is the one place that walks the quadratic relations of a
 representation.  relation_plan walks them once per call into integer
 form: each arrow a primitive integer matrix over one denominator, each
-relation integer path weights over one scale.  check_relations evaluates
-the plan, a relation holding iff its integer sum is zero (only a violated
-one is rebuilt as a rational residual), relation_jacobian linearizes
-it into sparse integer rows, and segment_product follows its step table
-along a straight segment.  Relation coefficients depend only on the
-box rows (p1, p2, q1, q2) and on ptilde, qtilde of the source shape, so
-they are interned under that key.  Input is validated at the boundary
+relation integer path weights over one scale.  It visits only the row
+pairs of the support's two-step paths, the only double box additions
+whose relations have a middle vertex and a target in the support.
+check_relations evaluates the plan, a relation holding iff its integer
+sum is zero (only a violated one is rebuilt as a rational residual),
+relation_jacobian linearizes it into sparse integer rows, and
+segment_product follows its step table along a straight segment.
+Relation coefficients depend only on the box rows (p1, p2, q1, q2) and
+on ptilde, qtilde of the source shape, so they are interned under that
+key.  Input is validated at the boundary
 (make_rep, rep_from_json and rep_from_data, the public relation_system);
 the walk trusts the representation it is given.  The pieri module
 verifies the coefficients against a brute-force equivariant construction.
@@ -119,7 +122,13 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
     new_arrows = []
     seen_pairs = set()
     # one shared tuple per box pair keeps the stored arrows small
-    boxes = {box: box for box, _ in _box_shifts(space)}
+    shifts = {box: (box, shift) for box, shift in _box_shifts(space)}
+
+    def box_shift(box):
+        if box not in shifts:
+            raise DomainError(f"box pair {box} out of range")
+        return shifts[box]
+
     for entry in arrows:
         *ends, box, matrix = entry
         try:
@@ -129,7 +138,8 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
         box = rootsys.as_ints((p, q), "box entry")
         if len(ends) == 1:
             src_w = rootsys.check_weight(space, ends[0])
-            dst_w = rootsys.wadd(src_w, rootsys.box_weight(space, *box))
+            box, shift = box_shift(box)
+            dst_w = rootsys.wadd(src_w, shift)
             if src_w not in weights or dst_w not in weights:
                 raise DomainError(f"arrow {src_w} -> {dst_w} leaves the vertices")
             src_old, dst_old = weights[src_w], weights[dst_w]
@@ -137,10 +147,11 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
             src_old, dst_old = ends
             if src_old not in old_to_new or dst_old not in old_to_new:
                 raise DomainError(f"arrow {src_old} -> {dst_old}: no such vertex index")
+            box, shift = box_shift(box)
         src = old_to_new[src_old]
         dst = old_to_new[dst_old]
         sw, dw = new_vertices[src].weight, new_vertices[dst].weight
-        if rootsys.wsub(dw, sw) != rootsys.box_weight(space, *box):
+        if rootsys.wsub(dw, sw) != shift:
             raise DomainError(
                 f"arrow {sw} -> {dw} does not match box pair {box}"
             )
@@ -151,7 +162,7 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
         if (src, dst) in seen_pairs:
             raise DomainError(f"duplicate arrow {sw} -> {dw}")
         seen_pairs.add((src, dst))
-        new_arrows.append(Arrow(src, dst, boxes[box], matrix))
+        new_arrows.append(Arrow(src, dst, box, matrix))
     new_arrows.sort(key=lambda a: (a.src, a.dst))
     return QuiverRep(space, new_vertices, tuple(new_arrows))
 
@@ -172,14 +183,14 @@ def double_additions(space: Space, w) -> list[tuple[Box, Box]]:
     alpha, beta = rootsys.shape_rows(space, rootsys.require_d1(space, w))
     return [
         ((p1, q1), (p2, q2))
-        for (p1, p2, _), (q1, q2, _) in product(_row_pairs(alpha), _row_pairs(beta))
+        for (p1, p2), (q1, q2) in product(_row_pairs(alpha), _row_pairs(beta))
     ]
 
 
 @lru_cache(maxsize=None)
-def _row_pairs(padded: Weight) -> tuple[tuple[int, int, int], ...]:
-    """(r1, r2, gap) for each row pair r1 <= r2 where two boxes fit into
-    the padded partition."""
+def _row_pairs(padded: Weight) -> tuple[tuple[int, int], ...]:
+    """Each row pair r1 <= r2 where two boxes fit into the padded
+    partition."""
     out = []
     nrows = len(padded)
     for r1 in range(1, nrows + 1):
@@ -188,7 +199,7 @@ def _row_pairs(padded: Weight) -> tuple[tuple[int, int, int], ...]:
             rows[r1 - 1] += 1
             rows[r2 - 1] += 1
             if all(rows[i] >= rows[i + 1] for i in range(nrows - 1)):
-                out.append((r1, r2, _gap(padded, r1, r2)))
+                out.append((r1, r2))
     return tuple(out)
 
 
@@ -259,8 +270,10 @@ class RelationPlan:
     to the support vertex it leads to from vertex i; slots are the quiver
     arrows between support vertices, present or not.  relations holds
     (src, tgt, terms, scale, paths) per relation whose target and some
-    middle vertex lie in the support: terms as in RelationEquation, paths
-    the (mid, weight) of the terms with that middle vertex present, where
+    middle vertex lie in the support, in vertex, box and equation order
+    (the order of double_additions and relation_system): terms as in
+    RelationEquation, paths the (mid, weight) of the terms with that
+    middle vertex present, where
     weight = coeff * scale / (d1 * d2) over the path's arrow denominators
     (1 if missing) and scale is the least making every weight integral."""
 
@@ -271,7 +284,12 @@ class RelationPlan:
 
 
 def relation_plan(rep: QuiverRep) -> RelationPlan:
-    """Walk rep's relations in vertex, box and equation order."""
+    """Walk rep's relations in vertex, box and equation order.
+
+    Only the row pairs (p1, p2, q1, q2) of the two-step paths from each
+    vertex are tried: a relation through any other double box addition
+    has no middle vertex or no target in the support.  Sorted, the pairs
+    run in double_additions' product order."""
     arrows = {}
     for a in rep.arrows:
         den = lcm(*(x.denominator for row in a.matrix for x in row))
@@ -293,8 +311,18 @@ def relation_plan(rep: QuiverRep) -> RelationPlan:
     ]
     relations = []
     for src, v in enumerate(rep.vertices):
+        pairs = sorted(
+            {
+                (min(pa, pb), max(pa, pb), min(qa, qb), max(qa, qb))
+                for (pa, qa), mid in steps[src].items()
+                for pb, qb in steps[mid]
+            }
+        )
+        if not pairs:
+            continue
         alpha, beta = rootsys.shape_rows(rep.space, v.weight)
-        for (p1, p2, pt), (q1, q2, qt) in product(_row_pairs(alpha), _row_pairs(beta)):
+        for p1, p2, q1, q2 in pairs:
+            pt, qt = _gap(alpha, p1, p2), _gap(beta, q1, q2)
             for terms in _relation_terms(p1, p2, q1, q2, pt, qt):
                 tgt, paths = None, []
                 for first, second, coeff in terms:

@@ -11,6 +11,9 @@ from quivercoh.errors import DomainError
 from conftest import GR13, GR14, P2, P3, P4
 
 GR25 = rootsys.space(2, 5)
+# ranks 6 and 7 give the longest eps vectors the oracle meets
+P6 = rootsys.space(0, 6)
+GR37 = rootsys.space(3, 7)
 from test_rootsys import d1_weights
 
 
@@ -50,7 +53,7 @@ def dot_action_bott(space, w):
 
 @st.composite
 def spaced_d1_weights(draw):
-    space = draw(st.sampled_from([P3, GR13, GR14, GR25]))
+    space = draw(st.sampled_from([P3, GR13, GR14, GR25, P6, GR37]))
     w = [draw(st.integers(-12, 12) if i == space.k else st.integers(0, 5))
          for i in range(space.rank)]
     return space, tuple(w)
@@ -65,7 +68,9 @@ class TestDotActionOracle:
         expected = dot_action_bott(space, w)
         assert (value and (value.degree, value.nu)) == expected
 
-    @pytest.mark.parametrize("space,bound", [(P3, 5), (GR13, 5), (GR14, 4), (GR25, 3)])
+    @pytest.mark.parametrize(
+        "space,bound", [(P3, 5), (GR13, 5), (GR14, 4), (GR25, 3), (P6, 2), (GR37, 2)]
+    )
     def test_matches_bott_on_a_box(self, space, bound):
         kinds = set()
         for w in d1_weights(space, bound):

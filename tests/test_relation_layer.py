@@ -74,11 +74,11 @@ def test_perturbation_leaves_the_variety():
     assert quiver.check_relations(rep)
 
 
-def _reference_violations(rep):
-    """check_relations in plain Fraction arithmetic, from the public
-    relation_system: (source, target, terms, residual) of every relation
-    whose target and some middle vertex lie in the support and whose sum
-    of coeff * (second arrow) (first arrow) is not zero."""
+def _reference_relations(rep):
+    """(src, tgt, mids, terms) of every relation, from the public
+    double_additions and relation_system, whose target and some middle
+    vertex lie in the support, in vertex, box and equation order: mids
+    holds the middle vertex of each term, None where it is missing."""
     space = rep.space
 
     def step(i, box):
@@ -89,22 +89,57 @@ def _reference_violations(rep):
         for boxes in quiver.double_additions(space, v.weight):
             for eq in quiver.relation_system(space, v.weight, boxes):
                 tgt = rep.vertex_index(eq.target)
-                mids = [(step(src, first), second, coeff) for first, second, coeff in eq.terms]
-                if tgt is None or all(mid is None for mid, _, _ in mids):
-                    continue
-                rows, cols = rep.vertices[tgt].dim, v.dim
-                total = [[Fraction(0)] * cols for _ in range(rows)]
-                for mid, second, coeff in mids:
-                    m1 = None if mid is None else rep.arrow_matrix(src, mid)
-                    m2 = None if mid is None else rep.arrow_matrix(mid, tgt)
-                    if m1 is None or m2 is None:
-                        continue
-                    for r in range(rows):
-                        for c in range(cols):
-                            total[r][c] += coeff * sum(m2[r][x] * m1[x][c] for x in range(len(m1)))
-                if any(x for row in total for x in row):
-                    out.append((v.weight, eq.target, eq.terms, [list(row) for row in total]))
+                mids = [step(src, first) for first, _, _ in eq.terms]
+                if tgt is not None and any(mid is not None for mid in mids):
+                    out.append((src, tgt, mids, eq.terms))
     return out
+
+
+def _reference_violations(rep):
+    """check_relations in plain Fraction arithmetic: (source, target,
+    terms, residual) of every reference relation whose sum of
+    coeff * (second arrow) (first arrow) is not zero."""
+    out = []
+    for src, tgt, mids, terms in _reference_relations(rep):
+        rows, cols = rep.vertices[tgt].dim, rep.vertices[src].dim
+        total = [[Fraction(0)] * cols for _ in range(rows)]
+        for mid, (_, _, coeff) in zip(mids, terms):
+            m1 = None if mid is None else rep.arrow_matrix(src, mid)
+            m2 = None if mid is None else rep.arrow_matrix(mid, tgt)
+            if m1 is None or m2 is None:
+                continue
+            for r in range(rows):
+                for c in range(cols):
+                    total[r][c] += coeff * sum(m2[r][x] * m1[x][c] for x in range(len(m1)))
+        if any(x for row in total for x in row):
+            out.append((rep.vertices[src].weight, rep.vertices[tgt].weight, terms, [list(row) for row in total]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=st.sampled_from([P2, P3, GR13, GR14]),
+    seed=st.integers(0, 10**6),
+    drop=st.sampled_from([0.0, 0.3]),
+    isolated=st.booleans(),
+)
+def test_relation_plan_walks_every_supported_relation(space, seed, drop, isolated):
+    # holding relations count too: the plan is compared, not its violations
+    rng = random.Random(seed)
+    rep = random_rep(space, rng, max_vertices=8)
+    if isolated:
+        # a twist by n + 1 keeps the component; this one is far beyond
+        # two steps of every other vertex
+        far = rootsys.twist(space, rep.vertices[0].weight, 20 * (space.n + 1))
+        vertices = [(v.weight, v.dim) for v in rep.vertices] + [(far, 1)]
+        arrows = [(rep.vertices[a.src].weight, a.box, a.matrix) for a in rep.arrows]
+        rep = quiver.make_rep(space, vertices, arrows)
+    rep, _ = _perturbed(rep, rng, drop=drop)
+    walked = [(src, tgt, terms) for src, tgt, terms, _, _ in quiver.relation_plan(rep).relations]
+    assert walked == [(src, tgt, terms) for src, tgt, _, terms in _reference_relations(rep)]
+    if isolated:
+        i, steps = rep.vertex_index(far), quiver.relation_plan(rep).steps
+        assert not steps[i] and all(i not in step.values() for step in steps)
 
 
 WIDE = (1, 2, 3, 7, 10**9 + 7, 2**31 - 1, 2**61 - 1)
