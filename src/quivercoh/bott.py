@@ -62,7 +62,7 @@ def bott(space: Space, w) -> BottValue | None:
 def chamber_key(space: Space, w) -> tuple[int, ...]:
     """Identifier of the Bott chamber containing a nonsingular weight:
     the permutation that sorts eps(w + g) descending."""
-    e = rootsys.to_eps(space, rootsys.wadd(w, rootsys.g_weight(space)))
+    e = _shifted_eps(rootsys.check_weight(space, w))
     if len(set(e)) != len(e):
         raise DomainError(f"weight {w} is singular; it lies on a wall")
     order = sorted(range(len(e)), key=lambda i: -e[i])

@@ -9,7 +9,11 @@ consulting the coefficient tables it is meant to check.
 A realization of shape a on an m-space is generated from the highest
 weight vector inside Sym^{a_1} x ... x Sym^{a_r} of C^m by repeated
 lowering; multiplicity one makes every equivariant map recoverable by a
-small solve on its highest weight vector.
+small solve on its highest weight vector.  One routine, _raising_kernel,
+finds every highest vector (in the ambient product and in module x C^m),
+and one walk, _lower_along, lowers a highest column of module x C^m
+along a realization's lowering tree, for the one-box maps and for the
+summands of the product map alike.
 """
 
 from __future__ import annotations
@@ -209,6 +213,23 @@ class SchurRealization:
         return self.op_matrix("h", i)
 
 
+def _raising_kernel(ncand: int, images_by_p) -> list[tuple[Fraction, ...]]:
+    """Kernel of the raising operators on the span of ncand candidate
+    vectors.  images_by_p yields, for each raising operator in turn, the
+    sparse image of every candidate; each image coordinate gives one row
+    over the candidates.  With no rows (m = 1) every unit vector is in
+    the kernel."""
+    span = SpanBasis(ncand)
+    for images in images_by_p:
+        rows: dict = {}
+        for pos, image in enumerate(images):
+            for coord, c in image.items():
+                rows.setdefault(coord, {})[pos] = c
+        for row in rows.values():
+            span.insert(row)
+    return span.kernel()
+
+
 @lru_cache(maxsize=None)
 def realize(a: Shape, m: int) -> SchurRealization:
     """Build the Schur module of shape a on an m-space from its highest
@@ -225,25 +246,10 @@ def realize(a: Shape, m: int) -> SchurRealization:
 
     # highest weight vector: the weight-(content) solution of e_i v = 0
     hw_idxs = [i for i in range(len(ambient.basis)) if ambient.weight(i) == content]
-    rows = []
-    for p in range(m - 1):
-        images: dict[int, dict[int, Fraction]] = {}
-        for pos, idx in enumerate(hw_idxs):
-            img = ambient.apply_E(p, p + 1, {idx: Fraction(1)})
-            for amb, c in img.items():
-                images.setdefault(amb, {})[pos] = c
-        for amb in sorted(images):
-            rowdata = images[amb]
-            rows.append(
-                [rowdata.get(pos, Fraction(0)) for pos in range(len(hw_idxs))]
-            )
-    if rows:
-        kernel = linalg.nullspace(mat(rows))
-    else:
-        kernel = [
-            tuple(Fraction(1 if i == j else 0) for i in range(len(hw_idxs)))
-            for j in range(len(hw_idxs))
-        ]
+    kernel = _raising_kernel(len(hw_idxs), (
+        [ambient.apply_E(p, p + 1, {idx: Fraction(1)}) for idx in hw_idxs]
+        for p in range(m - 1)
+    ))
     if len(kernel) != 1:
         raise InternalCheckError(
             f"highest weight space of {a} on C^{m} has dimension {len(kernel)}"
@@ -306,49 +312,33 @@ def realize(a: Shape, m: int) -> SchurRealization:
     return SchurRealization(a, m, ambient, basis, parents, weights, assigned)
 
 
-def _product_weight(real: SchurRealization, i: int, t: int) -> tuple[int, ...]:
-    w = list(real.weights[i])
-    w[t] += 1
-    return tuple(w)
-
-
 def _highest_vectors(real: SchurRealization, target) -> list[tuple[Fraction, ...]]:
     """Highest weight vectors of the given weight in (module) x C^m,
     coordinates indexed i*m + t."""
     m = real.m
     target = tuple(target)
-    candidates = []
-    for i in range(real.dim):
-        for t in range(m):
-            if _product_weight(real, i, t) == target:
-                candidates.append((i, t))
+    candidates = [
+        (i, t)
+        for i, w in enumerate(real.weights)
+        for t in range(m)
+        if w[:t] + (w[t] + 1,) + w[t + 1 :] == target
+    ]
     if not candidates:
         return []
-    rows = []
-    for p in range(1, m):
+
+    def images(p: int):
+        """Images of the candidates under E_{p,p+1} x 1 + 1 x E_{p,p+1}."""
         e_mat = real.e(p)
-        images: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-        def put(coord, pos, c):
-            row = images.setdefault(coord, {})
-            row[pos] = row.get(pos, Fraction(0)) + c
-
-        for pos, (i, t) in enumerate(candidates):
-            for i2 in range(real.dim):
-                c = e_mat[i2][i]
-                if c != 0:
-                    put((i2, t), pos, c)
+        per_candidate = []
+        for i, t in candidates:
+            image = {(i2, t): e_mat[i2][i] for i2 in range(real.dim) if e_mat[i2][i]}
             if t == p:  # E_{p,p+1} sends e_{p+1} to e_p (0-based t)
-                put((i, p - 1), pos, Fraction(1))
-        for coord in sorted(images):
-            rowdata = images[coord]
-            rows.append([rowdata.get(pos, Fraction(0)) for pos in range(len(candidates))])
-    kernel = linalg.nullspace(mat(rows)) if rows else [
-        tuple(Fraction(1 if i == j else 0) for i in range(len(candidates)))
-        for j in range(len(candidates))
-    ]
+                image[(i, p - 1)] = 1
+            per_candidate.append(image)
+        return per_candidate
+
     out = []
-    for vec in kernel:
+    for vec in _raising_kernel(len(candidates), (images(p) for p in range(1, m))):
         full = [Fraction(0)] * (real.dim * m)
         for pos, (i, t) in enumerate(candidates):
             full[i * m + t] = vec[pos]
@@ -397,34 +387,33 @@ def pieri_map(a: Shape, row: int, m: int) -> PieriMatrix:
     realization of a+box, built by lowering the highest column."""
     a = rootsys.check_partition(a)
     z = _pieri_highest(a, row, m)
-    real = realize(a, m)
     source = realize(add_box(a, row), m)
-    f_mats = [real.f(i) for i in range(1, m)]
-    cols: list[list[Fraction]] = [list(z)]
-    for j in range(1, source.dim):
-        parent, i = source.parents[j]
-        col = _lower_product(real, f_mats[i - 1], i, cols[parent])
-        cols.append(col)
-    return PieriMatrix(
-        source.shape, a, row, m, linalg.transpose(mat(cols))
-    )
+    cols = _lower_along(realize(a, m), source, z)
+    return PieriMatrix(source.shape, a, row, m, linalg.transpose(mat(cols)))
 
 
-def _lower_product(real: SchurRealization, f_mat: Matrix, i: int, vec) -> list[Fraction]:
-    """Apply f_i x 1 + 1 x f_i on (module) x C^m coordinates."""
+def _lower_along(real: SchurRealization, tree: SchurRealization, top) -> list[list[Fraction]]:
+    """Lower a highest vector top of (module real) x C^m along tree's
+    lowering tree: column j is f_i x 1 + 1 x f_i applied to column
+    parent(j), for tree.parents[j] = (parent, i)."""
     m = real.m
-    out = [Fraction(0)] * (real.dim * m)
-    for idx, c in enumerate(vec):
-        if c == 0:
-            continue
-        b, t = divmod(idx, m)
-        for b2 in range(real.dim):
-            fc = f_mat[b2][b]
-            if fc != 0:
-                out[b2 * m + t] += c * fc
-        if t == i - 1:  # f_i sends e_i to e_{i+1} (0-based t)
-            out[b * m + i] += c
-    return out
+    f_mats = [real.f(i) for i in range(1, m)]
+    cols = [list(top)]
+    for parent, i in tree.parents[1:]:
+        f_mat = f_mats[i - 1]
+        out = [Fraction(0)] * (real.dim * m)
+        for idx, c in enumerate(cols[parent]):
+            if c == 0:
+                continue
+            b, t = divmod(idx, m)
+            for b2 in range(real.dim):
+                fc = f_mat[b2][b]
+                if fc != 0:
+                    out[b2 * m + t] += c * fc
+            if t == i - 1:  # f_i sends e_i to e_{i+1} (0-based t)
+                out[b * m + i] += c
+        cols.append(out)
+    return cols
 
 
 def product_op(real: SchurRealization, kind: str, i: int) -> Matrix:
@@ -500,23 +489,18 @@ class MultMap:
         self.target_shape = add_box(a, row)
         self.target = realize(self.target_shape, m)
         real = self.source
-        f_mats = [real.f(i) for i in range(1, m)]
         columns: list[list[Fraction]] = []
         self._target_dim = self.target.dim
         addable = [r for r in range(1, m + 1) if box_addable(a, r, m)]
         ordered = [row] + [r for r in addable if r != row]
         for r in ordered:
-            sols = _highest_vectors(real, tuple(_padded_content(add_box(a, r), m)))
+            summand = realize(add_box(a, r), m)
+            sols = _highest_vectors(real, summand.weights[0])
             if len(sols) != 1:
                 raise InternalCheckError(
-                    f"summand {add_box(a, r)} of {a} x C^{m} not multiplicity one"
+                    f"summand {summand.shape} of {a} x C^{m} not multiplicity one"
                 )
-            block = [list(sols[0])]
-            summand = realize(add_box(a, r), m)
-            for jj in range(1, summand.dim):
-                parent, i = summand.parents[jj]
-                block.append(_lower_product(real, f_mats[i - 1], i, block[parent]))
-            columns.extend(block)
+            columns.extend(_lower_along(real, summand, sols[0]))
         dim = real.dim * m
         if len(columns) != dim:
             raise InternalCheckError("summand dimensions do not fill the product")
@@ -547,10 +531,6 @@ class MultMap:
         for b, c in enumerate(module_vec):
             vec[b * m + (t - 1)] = c
         return self.apply(vec)
-
-
-def _padded_content(a: Shape, m: int) -> list[int]:
-    return list(a) + [0] * (m - len(a))
 
 
 @lru_cache(maxsize=None)
@@ -632,7 +612,8 @@ def verify_relation_coefficients(space: Space, w, boxes) -> bool:
     span of the relation equations; mismatch raises.
     """
     path_list, wedges = wedge_functionals(space, w, boxes)
-    exists = [i for i, p in enumerate(path_list) if _path_exists(space, w, p)]
+    # a functional entry is None exactly on the paths that cannot be added
+    exists = [i for i, x in enumerate(wedges[0]) if x is not None] if wedges else []
     rows_oracle = []
     for func in wedges:
         row = [func[i] if func[i] is not None else Fraction(0) for i in exists]
@@ -660,17 +641,6 @@ def verify_relation_coefficients(space: Space, w, boxes) -> bool:
             f"oracle {rows_oracle}, equations {rows_eq}"
         )
     return True
-
-
-def _path_exists(space: Space, w, path) -> bool:
-    sh = rootsys.weight_to_shape(space, w)
-    (pi, qj), (pl, qm) = path
-    mu, mq = space.k + 1, space.n - space.k
-    if not (box_addable(sh.alpha, pi, mu) and box_addable(sh.beta, qj, mq)):
-        return False
-    return box_addable(add_box(sh.alpha, pi), pl, mu) and box_addable(
-        add_box(sh.beta, qj), qm, mq
-    )
 
 
 def _same_row_span(rows_a, rows_b) -> bool:

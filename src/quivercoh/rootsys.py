@@ -261,14 +261,17 @@ def omega1_weights(space: Space) -> list[Weight]:
 
 
 def in_d1(space: Space, w) -> bool:
-    w = check_weight(space, w)
+    return _in_d1(space, check_weight(space, w))
+
+
+def _in_d1(space: Space, w: Weight) -> bool:
     cross = space.crossed - 1
     return all(c >= 0 for i, c in enumerate(w) if i != cross)
 
 
 def require_d1(space: Space, w) -> Weight:
     w = check_weight(space, w)
-    if not in_d1(space, w):
+    if not _in_d1(space, w):
         raise DomainError(f"weight {w} is not in D_1 for {space}")
     return w
 

@@ -98,10 +98,13 @@ def check_witness(rep: QuiverRep, spans, ch: Character) -> WitnessReport:
     )
 
 
-def _segment_support(rep: QuiverRep) -> tuple[list[int], tuple[int, int]]:
+def _segment_support(
+    rep: QuiverRep, plan: RelationPlan | None = None
+) -> tuple[list[int], tuple[int, int]]:
     """Vertex order along a single straight segment, with its box pair,
-    followed through the step table of rep's relation plan."""
-    steps = relation_plan(rep).steps
+    followed through the step table of rep's relation plan (built here
+    unless the caller passes it)."""
+    steps = (plan or relation_plan(rep)).steps
     for box in rootsys.omega1_boxes(rep.space):
         for start in range(len(steps)):
             chain = [start]
@@ -115,8 +118,12 @@ def _segment_support(rep: QuiverRep) -> tuple[list[int], tuple[int, int]]:
 def interval_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
     """Decomposition of a segment representation into intervals [s, t]
     (positions along the chain, inclusive), by composite ranks."""
-    chain, box = _segment_support(rep)
     plan = relation_plan(rep)
+    return _intervals(rep, plan, *_segment_support(rep, plan))
+
+
+def _intervals(rep: QuiverRep, plan: RelationPlan, chain: list[int], box) -> dict:
+    """interval_multiplicities along a chain already followed through plan."""
     dims = [rep.vertices[i].dim for i in chain]
     n = len(chain)
 
@@ -145,10 +152,11 @@ def interval_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
 def path_semistable(rep: QuiverRep, ch: Character) -> bool:
     """Exact semistability for a representation supported on one segment:
     every terminal piece of every interval summand must pair >= 0."""
-    chain, _ = _segment_support(rep)
+    plan = relation_plan(rep)
+    chain, box = _segment_support(rep, plan)
     weights = [rep.vertices[i].weight for i in chain]
     sigma = [ch.value(w) for w in weights]
-    for (s, t), mult in interval_multiplicities(rep).items():
+    for (s, t), mult in _intervals(rep, plan, chain, box).items():
         if mult <= 0:
             continue
         for u in range(s, t + 1):

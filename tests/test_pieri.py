@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quivercoh import linalg, pieri, rootsys
 from quivercoh.errors import DomainError, InternalCheckError
@@ -20,7 +22,7 @@ from quivercoh.pieri import (
     wedge_check,
 )
 
-from conftest import GR13, GR24, P2
+from conftest import GR13, GR24, P2, P3
 
 
 def partitions_up_to(total, max_parts):
@@ -106,6 +108,150 @@ class TestRealize:
         e1_e1 = real.ambient.index[((1, 0), (1, 0))]
         with pytest.raises(InternalCheckError):
             real.expand({e1_e1: Fraction(1)}, (1, 1))
+
+
+def _padded(a, m):
+    return tuple(a) + (0,) * (m - len(a))
+
+
+def _kernel_of_rows(rows, ncols):
+    """nullspace of dense rows; no rows means no condition (m = 1)."""
+    return linalg.nullspace(linalg.mat(rows or [[0] * ncols]))
+
+
+def _reference_highest(real, target):
+    """Highest vectors of weight target in (module) x C^m, coordinates
+    i*m + t: nullspace of the dense rows of E_p x 1 + 1 x E_p, built from
+    real.e(p), over the coordinates of weight target."""
+    m = real.m
+    coords = [
+        i * m + t
+        for i, w in enumerate(real.weights)
+        for t in range(m)
+        if tuple(x + (s == t) for s, x in enumerate(w)) == tuple(target)
+    ]
+    rows = []
+    for p in range(1, m):
+        e = real.e(p)
+        for i2 in range(real.dim):
+            for t2 in range(m):
+                row = []
+                for c in coords:
+                    i, t = divmod(c, m)
+                    x = e[i2][i] if t == t2 else Fraction(0)
+                    if i == i2 and t == p and t2 == p - 1:
+                        x += 1
+                    row.append(x)
+                rows.append(row)
+    out = []
+    for vec in _kernel_of_rows(rows, len(coords)):
+        full = [Fraction(0)] * (real.dim * m)
+        for c, x in zip(coords, vec):
+            full[c] = x
+        out.append(tuple(full))
+    return out
+
+
+def _reference_top(real):
+    """The highest vector of the ambient product of symmetric powers:
+    nullspace of the dense rows of the derivations E_{p,p+1} over the
+    monomials of the top weight, scaled to 1 on the canonical monomial."""
+    amb, m = real.ambient, real.m
+    coords = [
+        idx for idx, elt in enumerate(amb.basis)
+        if tuple(sum(mono[t] for mono in elt) for t in range(m)) == real.weights[0]
+    ]
+    rows = []
+    for p in range(m - 1):
+        images = {}
+        for pos, idx in enumerate(coords):
+            elt = amb.basis[idx]
+            for f, mono in enumerate(elt):
+                if mono[p + 1]:
+                    new = list(mono)
+                    new[p + 1] -= 1
+                    new[p] += 1
+                    j = amb.index[elt[:f] + (tuple(new),) + elt[f + 1 :]]
+                    images.setdefault(j, [0] * len(coords))[pos] += mono[p + 1]
+        rows += images.values()
+    (vec,) = _kernel_of_rows(rows, len(coords))
+    canonical = tuple(
+        tuple(d if t == f else 0 for t in range(m)) for f, d in enumerate(real.shape)
+    )
+    scale = vec[coords.index(amb.index[canonical])]
+    return {idx: x / scale for idx, x in zip(coords, vec) if x}
+
+
+class TestRaisingKernel:
+    """The highest vectors of realize, the one-box maps and the MultMap
+    summands against dense nullspace references over the same rows."""
+
+    def test_against_dense_nullspace(self):
+        steps = set()
+        for a, (i, j), m in two_step_sweep():
+            steps.add((a, i, m))
+            steps.add((add_box(a, i), j, m))
+        for shape, m in {(s, m) for a, row, m in steps for s in (a, add_box(a, row))}:
+            real = realize(shape, m)
+            assert real.basis[0] == _reference_top(real)
+        for a, row, m in sorted(steps):
+            real = realize(a, m)
+            (z,) = _reference_highest(real, _padded(add_box(a, row), m))
+            norm = z[real.kappa * m + row - 1]
+            assert pieri._pieri_highest(a, row, m) == tuple(x / norm for x in z)
+            for r in range(1, m + 1):
+                if box_addable(a, r, m):
+                    target = _padded(add_box(a, r), m)
+                    assert pieri._highest_vectors(real, target) == _reference_highest(
+                        real, target
+                    )
+
+
+def _fits(part, row, nrows):
+    padded = list(part) + [0] * nrows
+    return 1 <= row <= nrows and (row == 1 or padded[row - 1] < padded[row - 2])
+
+
+def _grown(part, row):
+    padded = list(part) + [0] * row
+    padded[row - 1] += 1
+    return tuple(x for x in padded if x)
+
+
+@st.composite
+def _relation_cases(draw):
+    space = draw(st.sampled_from([P2, P3, GR13]))
+    w = tuple(
+        draw(st.integers(-4, 4) if i == space.k else st.integers(0, 2))
+        for i in range(space.rank)
+    )
+    sh = rootsys.weight_to_shape(space, w)
+    assume(max(sum(sh.alpha), sum(sh.beta)) <= 3)
+    mu, mq = space.k + 1, space.n - space.k
+    boxes = tuple(
+        (draw(st.integers(1, mu)), draw(st.integers(1, mq))) for _ in range(2)
+    )
+    return space, w, boxes
+
+
+@settings(max_examples=80, deadline=None)
+@given(_relation_cases())
+def test_functional_entries_vanish_exactly_off_the_paths(case):
+    space, w, boxes = case
+    sh = rootsys.weight_to_shape(space, w)
+    mu, mq = space.k + 1, space.n - space.k
+    paths, wedges = pieri.wedge_functionals(space, w, boxes)
+    missing = [
+        not (
+            _fits(sh.alpha, pi, mu)
+            and _fits(sh.beta, qj, mq)
+            and _fits(_grown(sh.alpha, pi), pl, mu)
+            and _fits(_grown(sh.beta, qj), qm, mq)
+        )
+        for (pi, qj), (pl, qm) in paths
+    ]
+    for func in wedges:
+        assert [x is None for x in func] == missing
 
 
 class TestSSYT:

@@ -179,6 +179,26 @@ class TestPathSemistable:
         with pytest.raises(DomainError):
             stability.path_semistable(adv_rep(), ch)
 
+    def test_builds_one_relation_plan_per_call(self, monkeypatch):
+        built = []
+
+        def counting_plan(rep):
+            built.append(1)
+            return quiver.relation_plan(rep)
+
+        monkeypatch.setattr(stability, "relation_plan", counting_plan)
+        rng = random.Random(11)
+        for space in (P2, GR13):
+            rep = random_segment_rep(space, rng, total_dim=6)
+            ch = stability.canonical_character(rep)
+            for call in (
+                lambda: stability.path_semistable(rep, ch),
+                lambda: stability.interval_multiplicities(rep),
+            ):
+                built.clear()
+                call()
+                assert len(built) == 1
+
 
 class TestTangent:
     def test_generic_family_point(self):
