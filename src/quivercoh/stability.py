@@ -99,12 +99,11 @@ def check_witness(rep: QuiverRep, spans, ch: Character) -> WitnessReport:
 
 
 def _segment_support(
-    rep: QuiverRep, plan: RelationPlan | None = None
+    rep: QuiverRep, plan: RelationPlan
 ) -> tuple[list[int], tuple[int, int]]:
     """Vertex order along a single straight segment, with its box pair,
-    followed through the step table of rep's relation plan (built here
-    unless the caller passes it)."""
-    steps = (plan or relation_plan(rep)).steps
+    followed through the step table of rep's relation plan."""
+    steps = plan.steps
     for box in rootsys.omega1_boxes(rep.space):
         for start in range(len(steps)):
             chain = [start]

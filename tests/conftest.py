@@ -18,7 +18,7 @@ from quivercoh.generate import (  # noqa: F401  (re-exported to the tests)
     segment_rep,
 )
 from quivercoh.linalg import matmul, matvec
-from quivercoh.quiver import QuiverRep, make_rep
+from quivercoh.quiver import QuiverRep, make_rep, relation_plan
 
 P1 = rootsys.space(0, 1)
 P2 = rootsys.space(0, 2)
@@ -92,7 +92,7 @@ def interval_basis(rep: QuiverRep):
     """Independent interval splitting of a segment representation: list
     of (birth, death, vectors-per-position), built by the adapted-basis
     sweep (kernel flags left to right)."""
-    chain, _ = stability._segment_support(rep)
+    chain, _ = stability._segment_support(rep, relation_plan(rep))
     dims = [rep.vertices[i].dim for i in chain]
     n = len(chain)
     maps = []

@@ -221,6 +221,12 @@ class TestMirrors:
                 assert back[0].steps == m.steps
                 assert back[0].up != m.up
 
+    @pytest.mark.parametrize("w", [(1, 0, 0), (1,), ("a", 0), (1.5, 0)])
+    def test_chamber_key_rejects_malformed_weight(self, w):
+        # checked like every other weight, not truncated to the rank
+        with pytest.raises(DomainError):
+            bott.chamber_key(P2, w)
+
 
 class TestHasse:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
