@@ -52,7 +52,11 @@ def bott(space: Space, w) -> BottValue | None:
 
     Returns None when the shifted weight is singular (all groups zero).
     """
-    e = _shifted_eps(rootsys.require_d1(space, w))
+    return _bott_of(_shifted_eps(rootsys.require_d1(space, w)))
+
+
+def _bott_of(e: list[int]) -> BottValue | None:
+    """bott read off e = eps(w + g) of a weight already validated."""
     if len(set(e)) != len(e):
         return None
     inversions = sum(x < y for i, x in enumerate(e) for y in e[i + 1 :])
@@ -65,8 +69,12 @@ def chamber_key(space: Space, w) -> tuple[int, ...]:
     e = _shifted_eps(rootsys.check_weight(space, w))
     if len(set(e)) != len(e):
         raise DomainError(f"weight {w} is singular; it lies on a wall")
-    order = sorted(range(len(e)), key=lambda i: -e[i])
-    return tuple(order)
+    return _chamber_of(e)
+
+
+def _chamber_of(e: list[int]) -> tuple[int, ...]:
+    """chamber_key read off e = eps(w + g), its entries distinct."""
+    return tuple(sorted(range(len(e)), key=lambda i: -e[i]))
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,11 @@ def mirrors(space: Space, w) -> list[Mirror]:
     e = _shifted_eps(rootsys.require_d1(space, w))
     if len(set(e)) != len(e):
         raise DomainError(f"weight {w} is singular; no mirrors")
+    return _mirrors_of(space, e)
+
+
+def _mirrors_of(space: Space, e: list[int]) -> list[Mirror]:
+    """mirrors read off e = eps(w + g), its entries distinct."""
     out = []
     for p, q in rootsys.omega1_boxes(space):
         i = space.k + 1 - p          # 0-based slot in the first block

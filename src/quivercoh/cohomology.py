@@ -9,25 +9,26 @@ chamber adjacency graph anticommutes; the resulting sequence is a
 complex and its cohomology, degree by degree, is the cohomology of the
 bundle.
 
-The representation is validated once and its relation plan kept: one
-walk over the up-mirrors of the nonsingular vertices reads each segment
-product from the plan (quiver.segment_product), and the full complex
-and its truncations, which keep only segments of at most a given number
-of steps, are assembled from it.  The one-step truncation is itself a
-complex; intermediate truncations are reported as plain sequences with
-a caveat, since no inclusion structure is claimed for them.
+The representation, weights included, is validated once, and each
+vertex's Bott data read off one eps pass.  One walk over the up-mirrors
+of the nonsingular vertices reads each segment product from the relation
+plan, and the full complex and its truncations (segments of at most a
+given number of steps) are assembled from it, each differential as
+sparse integer rows over one denominator.  The one-step truncation is
+itself a complex; intermediate truncations are reported with a caveat,
+since no inclusion structure is claimed for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from . import bott, linalg, rootsys
-from .bott import chamber_graph, chamber_key, mirrors
+from .bott import chamber_graph, chamber_key
 from .errors import DomainError, InternalCheckError
-from .linalg import Matrix, matmul, solve_gf2
+from .linalg import Matrix, solve_gf2
 from .quiver import QuiverRep, RelationPlan, check_relations, relation_plan, segment_product
 from .rootsys import Space, Weight
 
@@ -46,20 +47,20 @@ def graded_cohomology(rep: QuiverRep) -> list[GradedPiece]:
     """Cohomology of the associated graded bundle, grouped by module and
     degree.  Singular vertices contribute nothing."""
     _checked_plan(rep)
-    return _graded(rep)
+    return _graded(rep)[0]
 
 
-def _graded(rep: QuiverRep) -> list[GradedPiece]:
-    groups: dict[tuple[Weight, int], list[tuple[int, int]]] = {}
+def _graded(rep: QuiverRep) -> tuple[list[GradedPiece], dict[int, list[int]]]:
+    """The graded pieces of a validated rep, and eps(w + g) of each
+    nonsingular vertex by index: one eps pass per vertex."""
+    groups: dict[tuple[int, Weight], list[tuple[int, int]]] = {}
+    eps = {}
     for i, v in enumerate(rep.vertices):
-        value = bott.bott(rep.space, v.weight)
-        if value is None:
-            continue
-        groups.setdefault((value.nu, value.degree), []).append((i, v.dim))
-    return [
-        GradedPiece(nu, degree, tuple(blocks))
-        for (nu, degree), blocks in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    ]
+        e = bott._shifted_eps(v.weight)
+        if (value := bott._bott_of(e)) is not None:
+            eps[i] = e
+            groups.setdefault((value.degree, value.nu), []).append((i, v.dim))
+    return [GradedPiece(nu, d, tuple(b)) for (d, nu), b in sorted(groups.items())], eps
 
 
 def _checked_plan(rep: QuiverRep) -> RelationPlan:
@@ -86,25 +87,17 @@ def _sign_table(space: Space, twist: frozenset = frozenset()) -> dict[tuple, int
     for a, b in edges:
         outgoing.setdefault(a, []).append(b)
     equations = []
-    for a in outgoing:
+    for a, nexts in outgoing.items():
         targets: dict[int, list[int]] = {}
-        for b in outgoing[a]:
+        for b in nexts:
             for c in outgoing.get(b, []):
                 targets.setdefault(c, []).append(b)
         for c, mids in targets.items():
             if len(mids) > 2:
-                raise InternalCheckError(
-                    f"{len(mids)} chambers between a pair in {space}"
-                )
+                raise InternalCheckError(f"{len(mids)} chambers between a pair in {space}")
             if len(mids) == 2:
-                b1, b2 = mids
-                idxs = (
-                    edge_index[(a, b1)],
-                    edge_index[(b1, c)],
-                    edge_index[(a, b2)],
-                    edge_index[(b2, c)],
-                )
-                equations.append((idxs, 1))
+                square = [edge_index[e] for b in mids for e in ((a, b), (b, c))]
+                equations.append((square, 1))
     solution = solve_gf2(equations, len(edges))
     if solution is None:
         raise InternalCheckError(f"sign system for {space} is inconsistent")
@@ -115,15 +108,28 @@ def _sign_table(space: Space, twist: frozenset = frozenset()) -> dict[tuple, int
     return table
 
 
+def _dim(blocks: tuple[tuple[int, int], ...]) -> int:
+    return sum(dim for _, dim in blocks)
+
+
 @dataclass(frozen=True)
 class ClassComplex:
     """Differentials for one cohomology module: vertex blocks per degree
-    and the map out of each degree."""
+    and, per degree d, the map to d + 1 as (rows, den), its entry in row
+    r, column c being rows[r].get(c, 0) / den."""
 
     nu: Weight
     degrees: tuple[int, ...]
     blocks: dict[int, tuple[tuple[int, int], ...]]
-    maps: dict[int, Matrix]  # degree d -> matrix from degree d to d+1
+    differentials: dict[int, tuple[tuple[dict[int, int], ...], int]]
+
+    @cached_property
+    def maps(self) -> dict[int, Matrix]:
+        """degree d -> dense matrix from d to d + 1, derived on first use."""
+        return {
+            d: linalg.dense(rows, _dim(self.blocks[d]), den)
+            for d, (rows, den) in self.differentials.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -136,23 +142,21 @@ class CohomologyComplex:
 
 def _walk(rep: QuiverRep, gauge_twist: frozenset) -> list[tuple]:
     """Validate rep, then walk every up-mirror of every nonsingular vertex
-    once.  Per class, (nu, degrees, blocks, parts): parts maps each degree
-    d followed by d + 1 to the differential's (rows, columns, pieces), a
-    piece (row, column, steps, entries) being the signed segment product
-    from one vertex to one in the next degree, where it is not zero."""
+    once.  Per class, (nu, degrees, blocks, parts): parts[d], for d and
+    d + 1 both degrees, lists the blocks of the differential out of d,
+    each (row, column, steps, sign, matrix, den): a nonzero segment
+    product matrix / den with its offsets, length and sign."""
     plan = _checked_plan(rep)
     space = rep.space
     signs = _sign_table(space, gauge_twist)
     index = {v.weight: i for i, v in enumerate(rep.vertices)}
+    pieces, eps = _graded(rep)
+    keys = {i: bott._chamber_of(e) for i, e in eps.items()}
     by_nu: dict[Weight, dict[int, tuple[tuple[int, int], ...]]] = {}
-    keys = {}  # chamber key per nonsingular vertex index
-    for piece in _graded(rep):
+    for piece in pieces:
         by_nu.setdefault(piece.nu, {})[piece.degree] = piece.blocks
-        for i, _ in piece.blocks:
-            keys[i] = chamber_key(space, rep.vertices[i].weight)
     walked = []
-    for nu in sorted(by_nu):
-        blocks = by_nu[nu]
+    for nu, blocks in sorted(by_nu.items()):
         degrees = tuple(sorted(blocks))
         parts = {}
         for d in degrees:
@@ -162,51 +166,51 @@ def _walk(rep: QuiverRep, gauge_twist: frozenset) -> list[tuple]:
             for dst, dim in blocks[d + 1]:
                 offsets[dst] = rows
                 rows += dim
-            cols, pieces = 0, []
+            col, part = 0, []
             for src, dim in blocks[d]:
                 found = set()
-                for mirror in mirrors(space, rep.vertices[src].weight):
+                for mirror in bott._mirrors_of(space, eps[src]):
                     if not mirror.up or (dst := index.get(mirror.target)) not in offsets:
                         continue
                     if dst in found:
                         raise InternalCheckError("two directions join one vertex pair")
                     found.add(dst)
                     product = segment_product(plan, src, mirror.box, mirror.steps)
-                    if product is not None:
-                        matrix, den = product
+                    if product is not None and any(map(any, product[0])):
                         sign = signs[(keys[src], keys[dst])]
-                        entries = [[Fraction(sign * x, den) for x in row] for row in matrix]
-                        pieces.append((offsets[dst], cols, mirror.steps, entries))
-                cols += dim
-            parts[d] = (rows, cols, pieces)
+                        part.append((offsets[dst], col, mirror.steps, sign, *product))
+                col += dim
+            parts[d] = part
         walked.append((nu, degrees, blocks, parts))
     return walked
 
 
 def _assemble(space: Space, walked: list[tuple], max_steps: int | None) -> CohomologyComplex:
     """The differentials of a walk, keeping only segments of at most
-    max_steps steps when it is given.  The full complex and the one-step
+    max_steps steps when it is given.  Blocks in one column group may
+    have different denominators, so each differential is scaled to the
+    lcm of its blocks' ones.  The full complex and the one-step
     truncation must square to zero (hard error otherwise)."""
     classes = []
     is_complex = True
     for nu, degrees, blocks, parts in walked:
-        maps = {}
-        for d, (rows, cols, pieces) in parts.items():
-            entries = [[Fraction(0)] * cols for _ in range(rows)]
-            for row, col, steps, block in pieces:
-                if max_steps is None or steps <= max_steps:
-                    for r, values in enumerate(block):
-                        entries[row + r][col : col + len(values)] = values
-            maps[d] = tuple(map(tuple, entries))
-        for d in maps:
-            if d + 1 in maps and not linalg.is_zero_matrix(matmul(maps[d + 1], maps[d])):
+        differentials = {}
+        for d, part in parts.items():
+            kept = [b for b in part if max_steps is None or b[2] <= max_steps]
+            den = lcm(*(b[5] for b in kept))
+            rows: list[dict[int, int]] = [{} for _ in range(_dim(blocks[d + 1]))]
+            for row, col, _, sign, matrix, block_den in kept:
+                scale = sign * (den // block_den)
+                for target, values in zip(rows[row:], matrix):
+                    target.update((c, scale * x) for c, x in enumerate(values, col) if x)
+            differentials[d] = (tuple(rows), den)
+        for d, (rows, _) in differentials.items():
+            if d + 1 in differentials and any(linalg.row_product(differentials[d + 1][0], rows)):
                 is_complex = False
-        classes.append(ClassComplex(nu, degrees, blocks, maps))
-    if not is_complex and (max_steps is None or max_steps == 1):
-        raise InternalCheckError(
-            "differentials do not square to zero"
-            + ("" if max_steps is None else " in the one-step truncation")
-        )
+        classes.append(ClassComplex(nu, degrees, blocks, differentials))
+    if not is_complex and max_steps in (None, 1):
+        where = "" if max_steps is None else " in the one-step truncation"
+        raise InternalCheckError("differentials do not square to zero" + where)
     return CohomologyComplex(space, tuple(classes), max_steps, is_complex)
 
 
@@ -256,11 +260,10 @@ def _row(space: Space, degree: int, nu: Weight, multiplicity: int) -> TableRow:
 def _homology_table(space: Space, complex_: CohomologyComplex) -> CohomologyTable:
     rows = []
     for cls in complex_.classes:
-        ranks = {d: linalg.rank(m) for d, m in cls.maps.items()}
+        dims = {d: _dim(b) for d, b in cls.blocks.items()}
+        ranks = {d: linalg.row_rank(diff, dims[d]) for d, (diff, _) in cls.differentials.items()}
         for d in cls.degrees:
-            total = sum(dim for _, dim in cls.blocks[d])
-            mult = total - ranks.get(d, 0) - ranks.get(d - 1, 0)
-            if mult:
+            if mult := dims[d] - ranks.get(d, 0) - ranks.get(d - 1, 0):
                 rows.append(_row(space, d, cls.nu, mult))
     rows.sort(key=lambda r: (r.degree, r.nu))
     return CohomologyTable(space, tuple(rows))
@@ -275,13 +278,8 @@ def cohomology(rep: QuiverRep, gauge_twist: frozenset = frozenset()) -> Cohomolo
 
 def graded_table(rep: QuiverRep) -> CohomologyTable:
     """Cohomology of the associated graded bundle as a table."""
-    rows = []
-    for piece in graded_cohomology(rep):
-        mult = sum(dim for _, dim in piece.blocks)
-        rows.append(
-            TableRow(piece.degree, piece.nu, mult, rootsys.module_dim(rep.space, piece.nu))
-        )
-    rows.sort(key=lambda r: (r.degree, r.nu))
+    pieces = graded_cohomology(rep)  # sorted by degree, then module
+    rows = (_row(rep.space, p.degree, p.nu, _dim(p.blocks)) for p in pieces)
     return CohomologyTable(rep.space, tuple(rows))
 
 

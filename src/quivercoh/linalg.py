@@ -5,7 +5,10 @@ over Q goes through SpanBasis, an incremental echelon basis of sparse
 primitive integer rows, reduced fraction-free: rank and det insert a
 matrix's rows into one basis, rref back-reduces it, and nullspace and
 Solver read their answers off the reduced rows, scaled back to leading
-1s.  solve_gf2 works apart, on bitsets over GF(2).
+1s.  Sparse rows, {column: value} dicts such as the cohomology engine's
+integer differentials, are ranked as they are by row_rank, multiplied
+by row_product and made dense by dense.  solve_gf2 works apart, on
+bitsets over GF(2).
 """
 
 from __future__ import annotations
@@ -72,6 +75,23 @@ def transpose(a: Matrix) -> Matrix:
 
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
+
+
+def dense(rows, width: int, den: int) -> Matrix:
+    """The matrix of sparse rows, {column: integer} dicts, over den."""
+    return tuple(tuple(Fraction(row.get(c, 0), den) for c in range(width)) for row in rows)
+
+
+def row_product(a, b) -> list[dict[int, int]]:
+    """a times b, both sparse rows; the product's rows, zeros dropped."""
+    out = []
+    for row in a:
+        total: dict[int, int] = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                total[j] = total.get(j, 0) + x * y
+        out.append({j: x for j, x in total.items() if x})
+    return out
 
 
 def matvec(a: Matrix, v) -> Vector:
@@ -189,15 +209,21 @@ class SpanBasis:
         ]
 
 
-def _row_basis(a: Matrix) -> SpanBasis:
-    basis = SpanBasis(shape(a)[1])
-    for row in a:
-        basis.add(row)
+def _row_basis(rows, width: int) -> SpanBasis:
+    basis = SpanBasis(width)
+    for row in rows:
+        basis.insert(row)
     return basis
 
 
+def row_rank(rows, width: int) -> int:
+    """Rank of sparse rows, {column: value} dicts of integers or
+    rationals, inserted as they are: integer rows need no clearing."""
+    return _row_basis(rows, width).dim
+
+
 def rank(a: Matrix) -> int:
-    return _row_basis(a).dim
+    return row_rank(map(_sparse, a), shape(a)[1])
 
 
 def det(a: Matrix) -> Fraction:
@@ -222,7 +248,7 @@ def det(a: Matrix) -> Fraction:
 def rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form (zero rows last) and pivot column indices."""
     m, n = shape(a)
-    basis = _row_basis(a)
+    basis = _row_basis(map(_sparse, a), n)
     basis.back_reduce()
     rows = [list(row) for row in basis.basis()]
     rows += [[Fraction(0)] * n for _ in range(m - len(rows))]
@@ -232,7 +258,7 @@ def rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel, deterministic order (one vector per
     free column, free coordinate set to 1)."""
-    return _row_basis(a).kernel()
+    return _row_basis(map(_sparse, a), shape(a)[1]).kernel()
 
 
 class Solver:

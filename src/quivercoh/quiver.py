@@ -371,21 +371,6 @@ class Violation:
     residual: Matrix
 
 
-def _path_product(rep: QuiverRep, src: int, first: Box, second: Box) -> Matrix | None:
-    """Matrix of (second arrow) o (first arrow) from vertex src, or None
-    when the path leaves the support."""
-    space = rep.space
-    mid_w = rootsys.wadd(rep.vertices[src].weight, rootsys.box_weight(space, *first))
-    mid = rep.vertex_index(mid_w)
-    end = rep.vertex_index(rootsys.wadd(mid_w, rootsys.box_weight(space, *second)))
-    if mid is None or end is None:
-        return None
-    m1, m2 = rep.arrow_matrix(src, mid), rep.arrow_matrix(mid, end)
-    if m1 is None or m2 is None:
-        return zeros(rep.vertices[end].dim, rep.vertices[src].dim)
-    return matmul(m2, m1)
-
-
 def check_relations(rep: QuiverRep, plan: RelationPlan | None = None) -> list[Violation]:
     """Evaluate every relation over the representation; missing arrows
     count as zero.  Empty list means the representation is valid.

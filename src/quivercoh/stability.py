@@ -132,7 +132,9 @@ def _intervals(rep: QuiverRep, plan: RelationPlan, chain: list[int], box) -> dic
         if s == t:
             return dims[s]
         product = segment_product(plan, chain[s], box, t - s)
-        return 0 if product is None else linalg.rank(product[0])
+        if product is None:
+            return 0
+        return linalg.row_rank((dict(enumerate(row)) for row in product[0]), dims[s])
 
     out = {}
     for s in range(n):

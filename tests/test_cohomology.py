@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quivercoh import bott, cohomology, quiver, rootsys, stability
+from quivercoh import bott, cohomology, linalg, quiver, rootsys, stability
 from quivercoh.bott import chamber_key, chamber_vertices
 from quivercoh.cohomology import (
     CohomologyTable,
@@ -13,7 +13,7 @@ from quivercoh.cohomology import (
     graded_table,
     truncated_complex,
 )
-from quivercoh.errors import DomainError
+from quivercoh.errors import DomainError, InternalCheckError
 
 from conftest import (
     GR13,
@@ -152,6 +152,137 @@ class TestTruncated:
     def test_rejects_zero_steps(self):
         with pytest.raises(DomainError):
             truncated_complex(dual_euler_rep(P2), 0)
+
+
+def _chain_walk(steps):
+    """A hand-built walk: one class in degrees 0, 1 and 2, one vertex of
+    dimension 1 each, differentials 1 and -1/2 along segments of the
+    given steps, so the composite is not zero."""
+    one = ((1,),)
+    blocks = {0: ((0, 1),), 1: ((1, 1),), 2: ((2, 1),)}
+    parts = {0: [(0, 0, steps, 1, one, 1)], 1: [(0, 0, steps, -1, one, 2)]}
+    return [((0, 0), (0, 1, 2), blocks, parts)]
+
+
+def _single_flips(walked):
+    """Copies of a walk with the sign of one block flipped, for every
+    block of a differential followed by another differential."""
+    for c, (nu, degrees, blocks, parts) in enumerate(walked):
+        for d, part in parts.items():
+            if d + 1 not in parts:
+                continue
+            for k, block in enumerate(part):
+                flipped = dict(parts)
+                flipped[d] = part[:k] + [block[:3] + (-block[3],) + block[4:]] + part[k + 1 :]
+                yield walked[:c] + [(nu, degrees, blocks, flipped)] + walked[c + 1 :]
+
+
+def _squares_to_zero_dense(cx) -> bool:
+    return all(
+        all(x == 0 for row in linalg.matmul(cls.maps[d + 1], cls.maps[d]) for x in row)
+        for cls in cx.classes
+        for d in cls.maps
+        if d + 1 in cls.maps
+    )
+
+
+def _dense_differential(rep, blocks, d):
+    """The differential out of degree d rebuilt from the public API: the
+    rational arrow products along each up-mirror segment, pasted at the
+    vertices' offsets with the sign table's sign."""
+    space, signs = rep.space, cohomology._sign_table(rep.space)
+
+    def offsets(pairs):
+        starts = [0]
+        for _, dim in pairs:
+            starts.append(starts[-1] + dim)
+        return {i: start for (i, _), start in zip(pairs, starts)}, starts[-1]
+
+    rows, nrows = offsets(blocks[d + 1])
+    cols, ncols = offsets(blocks[d])
+    out = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for src in cols:
+        weight = rep.vertices[src].weight
+        for mirror in bott.mirrors(space, weight):
+            dst = rep.vertex_index(mirror.target)
+            if not mirror.up or dst not in rows:
+                continue
+            product, i = linalg.identity(rep.vertices[src].dim), src
+            for _ in range(mirror.steps):
+                step = rootsys.box_weight(space, *mirror.box)
+                j = rep.vertex_index(rootsys.wadd(rep.vertices[i].weight, step))
+                arrow = None if j is None else rep.arrow_matrix(i, j)
+                if arrow is None:
+                    break
+                product, i = linalg.matmul(arrow, product), j
+            else:
+                sign = signs[(chamber_key(space, weight), chamber_key(space, mirror.target))]
+                for r, values in enumerate(product):
+                    for c, x in enumerate(values):
+                        out[rows[dst] + r][cols[src] + c] = sign * x
+    return tuple(map(tuple, out))
+
+
+class TestSparseDifferentials:
+    def test_square_check_fires_in_full_and_one_step(self):
+        walked = _chain_walk(1)
+        with pytest.raises(InternalCheckError):
+            cohomology._assemble(P2, walked, None)
+        with pytest.raises(InternalCheckError, match="one-step"):
+            cohomology._assemble(P2, walked, 1)
+        cx = cohomology._assemble(P2, walked, 2)
+        assert not cx.is_complex
+        assert cx.classes[0].maps == {0: ((Fraction(1),),), 1: ((Fraction(-1, 2),),)}
+
+    def test_intermediate_truncation_reports_without_raising(self):
+        walked = _chain_walk(2)
+        assert cohomology._assemble(P2, walked, 1).is_complex
+        assert not cohomology._assemble(P2, walked, 2).is_complex
+        with pytest.raises(InternalCheckError):
+            cohomology._assemble(P2, walked, None)
+
+    def test_square_check_agrees_with_dense_product_on_sign_flips(self):
+        rng = random.Random(2)
+        broken = 0
+        for _ in range(40):
+            rep = random_rep(GR13, rng, max_dim=3, max_vertices=14)
+            for walked in _single_flips(cohomology._walk(rep, frozenset())):
+                every = cohomology._assemble(GR13, walked, 99)  # all blocks, never raises
+                assert every.is_complex == _squares_to_zero_dense(every)
+                if not every.is_complex:
+                    broken += 1
+                    with pytest.raises(InternalCheckError):
+                        cohomology._assemble(GR13, walked, None)
+        assert broken
+
+    @pytest.mark.parametrize("space", [P2, GR13], ids=["p2", "gr13"])
+    def test_dense_view_matches_sparse_rows(self, space):
+        rng = random.Random(17)
+        ranked = 0
+        for _ in range(25):
+            rep = random_rep(space, rng, max_dim=3)
+            walked = cohomology._walk(rep, frozenset())
+            full = cohomology._assemble(space, walked, None)
+            assert _squares_to_zero_dense(full)
+            for cls in full.classes:
+                for d, matrix in cls.maps.items():
+                    assert matrix == _dense_differential(rep, cls.blocks, d)
+            rows = []
+            for cls in full.classes:
+                dims = {d: sum(dim for _, dim in b) for d, b in cls.blocks.items()}
+                ranks = {d: linalg.rank(m) for d, m in cls.maps.items()}
+                for d, (sparse, _) in cls.differentials.items():
+                    assert ranks[d] == linalg.row_rank(sparse, dims[d])
+                    ranked += ranks[d] > 0
+                for d in cls.degrees:
+                    if mult := dims[d] - ranks.get(d, 0) - ranks.get(d - 1, 0):
+                        rows.append(((d, cls.nu), mult))
+            assert dict(rows) == table_dict(cohomology.cohomology(rep))
+            for n in (1, 2, 20):
+                part = cohomology._assemble(space, walked, n)
+                dense_full = [c.maps for c in part.classes] == [c.maps for c in full.classes]
+                assert truncated_complex(rep, n).is_full == dense_full
+        assert ranked
 
 
 def _longest_segment(rep) -> int:

@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 from quivercoh.linalg import (
     SpanBasis,
     Solver,
+    dense,
     det,
     mat,
+    matmul,
     matvec,
     nullspace,
     rank,
+    row_product,
+    row_rank,
     rref,
     solve,
     transpose,
@@ -82,6 +86,33 @@ def test_rank_kernel_and_solve(a, data):
     left = nullspace(transpose(a))
     if left:
         assert solve(a, left[0]) is None
+
+
+INT_ROWS = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=5)
+)
+
+
+def sparse_rows(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(INT_ROWS, st.integers(1, 4), st.data())
+def test_sparse_integer_rows_match_dense(rows, den, data):
+    """row_rank, row_product and dense agree with rank and matmul on the
+    dense rational matrices of the same integer rows."""
+    width = len(rows[0])
+    a = dense(sparse_rows(rows), width, den)
+    assert a == mat([[Fraction(x, den) for x in row] for row in rows])
+    assert row_rank(sparse_rows(rows), width) == rank(a)
+    after = data.draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)), max_size=4)
+    )
+    product = row_product(sparse_rows(after), sparse_rows(rows))
+    assert all(0 not in row.values() for row in product)
+    if after:
+        assert dense(product, width, 1) == matmul(mat(after), mat(rows))
 
 
 @settings(max_examples=60, deadline=None)

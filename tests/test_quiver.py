@@ -181,6 +181,21 @@ class TestRescale:
             quiver.rescale_to_commutative(ex511_rep())
 
 
+def _path_product(rep, src, first, second):
+    """Matrix of (second arrow) o (first arrow) from vertex src, or None
+    when the path leaves the support."""
+    space = rep.space
+    mid_w = rootsys.wadd(rep.vertices[src].weight, rootsys.box_weight(space, *first))
+    mid = rep.vertex_index(mid_w)
+    end = rep.vertex_index(rootsys.wadd(mid_w, rootsys.box_weight(space, *second)))
+    if mid is None or end is None:
+        return None
+    m1, m2 = rep.arrow_matrix(src, mid), rep.arrow_matrix(mid, end)
+    if m1 is None or m2 is None:
+        return linalg.zeros(rep.vertices[end].dim, rep.vertices[src].dim)
+    return matmul(m2, m1)
+
+
 def _squares_commute(rep):
     """Commutativity of every two-box square, absent corners reading as
     zero: the normalized relation on projective space."""
@@ -197,8 +212,8 @@ def _squares_commute(rep):
             tgt = rep.vertex_index(end)
             if tgt is None:
                 continue
-            one = quiver._path_product(rep, src, b1, b2)
-            two = quiver._path_product(rep, src, b2, b1)
+            one = _path_product(rep, src, b1, b2)
+            two = _path_product(rep, src, b2, b1)
             zero = linalg.zeros(rep.vertices[tgt].dim, v.dim)
             one = one if one is not None else zero
             two = two if two is not None else zero
