@@ -73,10 +73,6 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def dense(rows, width: int, den: int) -> Matrix:
     """The matrix of sparse rows, {column: integer} dicts, over den."""
     return tuple(tuple(Fraction(row.get(c, 0), den) for c in range(width)) for row in rows)
