@@ -243,16 +243,6 @@ class CohomologyTable:
     space: Space
     rows: tuple[TableRow, ...]
 
-    def multiplicity(self, degree: int, nu) -> int:
-        nu = tuple(nu)
-        for row in self.rows:
-            if row.degree == degree and row.nu == nu:
-                return row.multiplicity
-        return 0
-
-    def total_dim(self, degree: int) -> int:
-        return sum(r.multiplicity * r.dim for r in self.rows if r.degree == degree)
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** r.degree * r.multiplicity * r.dim for r in self.rows)
 

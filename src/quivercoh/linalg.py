@@ -143,10 +143,10 @@ class SpanBasis:
             c = -c
         self._rows[pivot] = {j: x // c for j, x in v.items()}
 
-    def insert(self, vec: dict[int, Fraction | int]) -> tuple[int, Fraction] | None:
+    def insert(self, vec: dict[int, Fraction | int]) -> tuple[int, int, int] | None:
         """Insert a sparse vector of rationals or integers; return its
-        pivot and the value there before scaling, or None if it already
-        lies in the span."""
+        pivot p, and integers num and scale with num / scale the value at
+        p before scaling, or None if it already lies in the span."""
         if all(type(x) is int for x in vec.values()):
             den = 1
             v = {j: x for j, x in vec.items() if x}
@@ -157,10 +157,10 @@ class SpanBasis:
         if not v:
             return None
         pivot = min(v)
-        value = Fraction(v[pivot], scale)
+        num = v[pivot]
         self._keep(pivot, v)
         insort(self.pivots, pivot)
-        return pivot, value
+        return pivot, num, scale
 
     def add(self, v) -> bool:
         """Insert a dense vector; True if it enlarged the span."""
@@ -235,8 +235,9 @@ def det(a: Matrix) -> Fraction:
         step = basis.insert(_sparse(row))
         if step is None:
             return Fraction(0)
-        order.append(step[0])
-        out *= step[1]
+        pivot, num, scale = step
+        order.append(pivot)
+        out *= Fraction(num, scale)
     inversions = sum(p > q for i, p in enumerate(order) for q in order[i + 1 :])
     return -out if inversions % 2 else out
 

@@ -11,9 +11,19 @@ weight vector inside Sym^{a_1} x ... x Sym^{a_r} of C^m by repeated
 lowering; multiplicity one makes every equivariant map recoverable by a
 small solve on its highest weight vector.  One routine, _raising_kernel,
 finds every highest vector (in the ambient product and in module x C^m),
-and one walk, _lower_along, lowers a highest column of module x C^m
-along a realization's lowering tree, for the one-box maps and for the
-summands of the product map alike.
+and one step, _lower_step, lowers a column of module x C^m by f_i x 1 +
+1 x f_i along a realization's lowering tree, for the one-box maps and
+for the summands of the product map alike.
+
+The oracle computes only the columns an answer reads.  A realization
+computes each generator column (op_column) on first use, and each column
+of a one-box map (_pieri_column) is lowered along its own ancestors
+only: a two-step coefficient reads the columns of the first map where
+the second map's highest image is nonzero, and the highest vectors read
+the raising columns of their candidates.  op_matrix and pieri_map
+assemble full matrices from these columns.  Every cache is a
+module-level lru_cache or lives on a realization, so clearing the
+lru_caches makes the next call cold.
 """
 
 from __future__ import annotations
@@ -138,13 +148,21 @@ class SchurRealization:
     basis: list[dict[int, Fraction]]
     parents: list[tuple[int, int] | None]
     weights: list[tuple[int, ...]]
-    tableaux: list
     _expand_cache: dict = field(default_factory=dict)
     _op_cache: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def tableaux(self) -> list:
+        """One semistandard tableau per basis vector, of its weight: the
+        sorted tableaux of each weight dealt out in basis order."""
+        by_content: dict[tuple[int, ...], list] = {}
+        for t in sorted(semistandard_tableaux(self.shape, self.m)):
+            by_content.setdefault(tableau_content(t, self.m), []).append(t)
+        return [by_content[w].pop(0) for w in self.weights]
 
     @property
     def kappa(self) -> int:
@@ -155,53 +173,56 @@ class SchurRealization:
 
     def expand(self, vec: dict[int, Fraction], w) -> list[Fraction]:
         """Coordinates of an ambient vector of weight w in this basis
-        (zero for basis vectors of other weights)."""
-        w = tuple(w)
-        idxs = self.basis_by_weight(w)
+        (zero for basis vectors of other weights); one solver per weight
+        space, built on first use."""
+        out = [Fraction(0)] * self.dim
         if not vec:
-            return [Fraction(0)] * self.dim
+            return out
+        w = tuple(w)
         if w not in self._expand_cache:
-            support = sorted(
-                {i for j in idxs for i in self.basis[j]}
-            )
+            idxs = self.basis_by_weight(w)
+            support = sorted({i for j in idxs for i in self.basis[j]})
             rows = [
                 [self.basis[j].get(i, Fraction(0)) for j in idxs] for i in support
             ]
-            self._expand_cache[w] = (support, linalg.Solver(mat(rows) if rows else ()))
-        support, solver = self._expand_cache[w]
-        rhs = [vec.get(i, Fraction(0)) for i in support]
-        extra = set(vec) - set(support)
-        if extra and any(vec[i] != 0 for i in extra):
+            self._expand_cache[w] = (
+                idxs, support, linalg.Solver(mat(rows) if rows else ())
+            )
+        idxs, support, solver = self._expand_cache[w]
+        if any(vec[i] != 0 for i in vec.keys() - set(support)):
             raise InternalCheckError("vector outside the realized module")
-        x = solver(rhs)
+        x = solver([vec.get(i, Fraction(0)) for i in support])
         if x is None:
             raise InternalCheckError("vector outside the realized module")
-        out = [Fraction(0)] * self.dim
-        for pos, j in enumerate(idxs):
-            out[j] = x[pos]
+        for j, c in zip(idxs, x):
+            out[j] = c
         return out
 
-    def op_matrix(self, kind: str, i: int) -> Matrix:
-        """Generator action: kind in {e, f, h}, 1 <= i <= m-1."""
-        key = (kind, i)
-        if key in self._op_cache:
-            return self._op_cache[key]
-        cols = []
-        for j in range(self.dim):
+    def op_column(self, kind: str, i: int, j: int) -> tuple[Fraction, ...]:
+        """Column j of the generator action, kind in {e, f, h} and
+        1 <= i <= m-1: e_i and f_i act on basis vector j in the ambient
+        product (apply_E) and the image is expanded in this basis.
+        Cached on the realization."""
+        key = (kind, i, j)
+        col = self._op_cache.get(key)
+        if col is None:
             w = self.weights[j]
             if kind == "h":
-                val = Fraction(w[i - 1] - w[i])
-                cols.append([val if r == j else Fraction(0) for r in range(self.dim)])
-                continue
-            p, q = (i - 1, i) if kind == "e" else (i, i - 1)
-            image = self.ambient.apply_E(p, q, self.basis[j])
-            new_w = list(w)
-            new_w[q] -= 1
-            new_w[p] += 1
-            cols.append(self.expand(image, new_w))
-        matrix = linalg.transpose(mat(cols))
-        self._op_cache[key] = matrix
-        return matrix
+                col = [Fraction(0)] * self.dim
+                col[j] = Fraction(w[i - 1] - w[i])
+            else:
+                p, q = (i - 1, i) if kind == "e" else (i, i - 1)
+                new_w = list(w)
+                new_w[q] -= 1
+                new_w[p] += 1
+                col = self.expand(self.ambient.apply_E(p, q, self.basis[j]), new_w)
+            col = self._op_cache[key] = tuple(col)
+        return col
+
+    def op_matrix(self, kind: str, i: int) -> Matrix:
+        """Generator action: kind in {e, f, h}, 1 <= i <= m-1, the matrix
+        of its op_column columns."""
+        return linalg.transpose([self.op_column(kind, i, j) for j in range(self.dim)])
 
     def e(self, i: int) -> Matrix:
         return self.op_matrix("e", i)
@@ -299,17 +320,7 @@ def realize(a: Shape, m: int) -> SchurRealization:
             f"closure of {a} on C^{m} has dimension {len(basis)}, expected {expected}"
         )
 
-    tabs = semistandard_tableaux(a, m)
-    by_content: dict[tuple[int, ...], list] = {}
-    for t in sorted(tabs):
-        by_content.setdefault(tableau_content(t, m), []).append(t)
-    assigned = []
-    counters: dict[tuple[int, ...], int] = {}
-    for w in weights:
-        k = counters.get(w, 0)
-        assigned.append(by_content[w][k])
-        counters[w] = k + 1
-    return SchurRealization(a, m, ambient, basis, parents, weights, assigned)
+    return SchurRealization(a, m, ambient, basis, parents, weights)
 
 
 def _highest_vectors(real: SchurRealization, target) -> list[tuple[Fraction, ...]]:
@@ -327,11 +338,11 @@ def _highest_vectors(real: SchurRealization, target) -> list[tuple[Fraction, ...
         return []
 
     def images(p: int):
-        """Images of the candidates under E_{p,p+1} x 1 + 1 x E_{p,p+1}."""
-        e_mat = real.e(p)
+        """Images of the candidates under E_{p,p+1} x 1 + 1 x E_{p,p+1},
+        read off the e_p columns of the candidates only."""
         per_candidate = []
         for i, t in candidates:
-            image = {(i2, t): e_mat[i2][i] for i2 in range(real.dim) if e_mat[i2][i]}
+            image = {(i2, t): c for i2, c in enumerate(real.op_column("e", p, i)) if c}
             if t == p:  # E_{p,p+1} sends e_{p+1} to e_p (0-based t)
                 image[(i, p - 1)] = 1
             per_candidate.append(image)
@@ -378,41 +389,56 @@ def _pieri_highest(a: Shape, row: int, m: int) -> tuple[Fraction, ...]:
     norm = z[real.kappa * m + (row - 1)]
     if norm == 0:
         raise InternalCheckError("normalizing coefficient vanished in one-box map")
-    return tuple(x / norm for x in z)
+    # zeros stay the shared zero of _highest_vectors
+    return tuple(x / norm if x else x for x in z)
+
+
+@lru_cache(maxsize=None)
+def _pieri_column(a: Shape, row: int, m: int, j: int) -> tuple[Fraction, ...]:
+    """Column j of the normalized one-box map: the highest column
+    lowered along the ancestors of j in the lowering tree of the
+    realization of a+box only."""
+    if j == 0:
+        return _pieri_highest(a, row, m)
+    parent, i = realize(add_box(a, row), m).parents[j]
+    return _lower_step(realize(a, m), _pieri_column(a, row, m, parent), i)
 
 
 @lru_cache(maxsize=None)
 def pieri_map(a: Shape, row: int, m: int) -> PieriMatrix:
     """Full matrix of the normalized one-box map, columns over the
-    realization of a+box, built by lowering the highest column."""
+    realization of a+box, assembled from its _pieri_column columns."""
     a = rootsys.check_partition(a)
-    z = _pieri_highest(a, row, m)
+    _pieri_highest(a, row, m)  # validates the box
     source = realize(add_box(a, row), m)
-    cols = _lower_along(realize(a, m), source, z)
-    return PieriMatrix(source.shape, a, row, m, linalg.transpose(mat(cols)))
+    cols = [_pieri_column(a, row, m, j) for j in range(source.dim)]
+    return PieriMatrix(source.shape, a, row, m, linalg.transpose(cols))
 
 
-def _lower_along(real: SchurRealization, tree: SchurRealization, top) -> list[list[Fraction]]:
-    """Lower a highest vector top of (module real) x C^m along tree's
-    lowering tree: column j is f_i x 1 + 1 x f_i applied to column
-    parent(j), for tree.parents[j] = (parent, i)."""
+def _lower_step(real: SchurRealization, col, i: int) -> tuple[Fraction, ...]:
+    """f_i x 1 + 1 x f_i applied to one column of (module real) x C^m,
+    coordinates b*m + t, reading the f_i columns it meets."""
     m = real.m
-    f_mats = [real.f(i) for i in range(1, m)]
-    cols = [list(top)]
+    out = [Fraction(0)] * (real.dim * m)
+    for idx, c in enumerate(col):
+        if c == 0:
+            continue
+        b, t = divmod(idx, m)
+        for b2, fc in enumerate(real.op_column("f", i, b)):
+            if fc != 0:
+                out[b2 * m + t] += c * fc
+        if t == i - 1:  # f_i sends e_i to e_{i+1} (0-based t)
+            out[b * m + i] += c
+    return tuple(out)
+
+
+def _lower_along(real: SchurRealization, tree: SchurRealization, top) -> list[tuple[Fraction, ...]]:
+    """Lower a highest vector top of (module real) x C^m along tree's
+    lowering tree: column j is _lower_step of column parent(j), for
+    tree.parents[j] = (parent, i)."""
+    cols = [top]
     for parent, i in tree.parents[1:]:
-        f_mat = f_mats[i - 1]
-        out = [Fraction(0)] * (real.dim * m)
-        for idx, c in enumerate(cols[parent]):
-            if c == 0:
-                continue
-            b, t = divmod(idx, m)
-            for b2 in range(real.dim):
-                fc = f_mat[b2][b]
-                if fc != 0:
-                    out[b2 * m + t] += c * fc
-            if t == i - 1:  # f_i sends e_i to e_{i+1} (0-based t)
-                out[b * m + i] += c
-        cols.append(out)
+        cols.append(_lower_step(real, cols[parent], i))
     return cols
 
 
@@ -463,14 +489,20 @@ def two_step_coefficients(a: Shape, rows: tuple[int, int], m: int) -> tuple[Frac
     if not box_addable(a1, j, m):
         raise DomainError(f"cannot add a box in row {j} of {a1}")
     z2 = _pieri_highest(a1, j, m)
-    psi1 = pieri_map(a, i, m)
     kappa_block = realize(a, m).kappa * m
 
     def coefficient(r: int, t: int) -> Fraction:
-        """Coordinate kappa x e_r of psi1 applied to the e_t slice of z2
-        (0-based r, t): one row of psi1 against that slice."""
-        row = psi1.matrix[kappa_block + r]
-        return sum((x * z2[b * m + t] for b, x in enumerate(row) if x), Fraction(0))
+        """Coordinate kappa x e_r of psi1 = pieri_map(a, i, m) applied to
+        the e_t slice of z2 (0-based r, t): column b of psi1 is read
+        only where the slice is nonzero."""
+        return sum(
+            (
+                _pieri_column(a, i, m, b)[kappa_block + r] * z
+                for b, z in enumerate(z2[t::m])
+                if z
+            ),
+            Fraction(0),
+        )
 
     return coefficient(i - 1, j - 1), coefficient(j - 1, i - 1)
 
@@ -504,7 +536,7 @@ class MultMap:
         dim = real.dim * m
         if len(columns) != dim:
             raise InternalCheckError("summand dimensions do not fill the product")
-        self._solver = linalg.Solver(linalg.transpose(mat(columns)))
+        self._solver = linalg.Solver(linalg.transpose(columns))
         kappa_vec = [Fraction(0)] * dim
         kappa_vec[real.kappa * m + (row - 1)] = Fraction(1)
         raw = self._raw_apply(kappa_vec)

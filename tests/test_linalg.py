@@ -123,9 +123,11 @@ def test_det_is_the_leibniz_expansion(a):
 
 def test_span_basis_insert_reports_pivot_and_value():
     basis = SpanBasis(3)
-    assert basis.insert({1: Fraction(2), 2: Fraction(4)}) == (1, Fraction(2))
+    assert basis.insert({1: Fraction(2), 2: Fraction(4)}) == (1, 2, 1)
     assert basis.insert({1: Fraction(-1), 2: Fraction(-2)}) is None
-    assert basis.insert({0: Fraction(3), 1: Fraction(1)}) == (0, Fraction(3))
+    assert basis.insert({0: Fraction(3), 1: Fraction(1)}) == (0, 3, 1)
+    # a value over a denominator: 1/2 at the pivot
+    assert SpanBasis(2).insert({0: Fraction(1, 2), 1: Fraction(1, 3)}) == (0, 3, 6)
     assert basis.basis() == [
         (Fraction(1), Fraction(0), Fraction(-2, 3)),
         (Fraction(0), Fraction(1), Fraction(2)),

@@ -182,6 +182,112 @@ def _reference_top(real):
     return {idx: x / scale for idx, x in zip(coords, vec) if x}
 
 
+def _sweep_realizations():
+    """Every realization a two-step case of the sweep touches."""
+    out = set()
+    for a, (i, j), m in two_step_sweep():
+        a1 = add_box(a, i)
+        out |= {(a, m), (a1, m), (add_box(a1, j), m)}
+    return sorted(out)
+
+
+def _ambient_vector(real, col):
+    """sum of col[r] * basis[r], as an ambient vector without zeros."""
+    out = {}
+    for r, c in enumerate(col):
+        if c == 0:
+            continue
+        for idx, x in real.basis[r].items():
+            out[idx] = out.get(idx, 0) + c * x
+    return {idx: x for idx, x in out.items() if x}
+
+
+class TestOpColumns:
+    def test_columns_expand_the_ambient_images(self):
+        # each column is the coordinate vector of the ambient image of
+        # its basis vector, and op_matrix holds exactly these columns
+        for shape, m in _sweep_realizations():
+            real = realize(shape, m)
+            for i in range(1, m):
+                for kind, p, q in (("e", i - 1, i), ("f", i, i - 1)):
+                    matrix = real.op_matrix(kind, i)
+                    for j in range(real.dim):
+                        col = real.op_column(kind, i, j)
+                        image = real.ambient.apply_E(p, q, real.basis[j])
+                        assert _ambient_vector(real, col) == image
+                        assert col == tuple(row[j] for row in matrix)
+                h = real.op_matrix("h", i)
+                for j, w in enumerate(real.weights):
+                    assert real.op_column("h", i, j) == tuple(
+                        w[i - 1] - w[i] if r == j else 0 for r in range(real.dim)
+                    )
+                    assert tuple(row[j] for row in h) == real.op_column("h", i, j)
+
+
+def _reference_pieri_matrix(a, row, m):
+    """The one-box map lowered along the whole lowering tree of the
+    source with the dense f_i matrices: column j is (f_i x 1 + 1 x f_i)
+    column parent(j)."""
+    real = realize(a, m)
+    source = realize(add_box(a, row), m)
+    fs = {i: real.f(i) for i in range(1, m)}
+    cols = [list(pieri._pieri_highest(a, row, m))]
+    for parent, i in source.parents[1:]:
+        out = [Fraction(0)] * (real.dim * m)
+        for idx, c in enumerate(cols[parent]):
+            if c == 0:
+                continue
+            b, t = divmod(idx, m)
+            for b2 in range(real.dim):
+                if fs[i][b2][b] != 0:
+                    out[b2 * m + t] += c * fs[i][b2][b]
+            if t == i - 1:
+                out[b * m + i] += c
+        cols.append(out)
+    return linalg.transpose(linalg.mat(cols))
+
+
+def _clear_pieri_caches():
+    for f in vars(pieri).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+class TestPieriColumns:
+    def test_columns_match_the_dense_lowering(self):
+        steps = set()
+        for a, (i, j), m in two_step_sweep():
+            steps |= {(a, i, m), (add_box(a, i), j, m)}
+        for a, row, m in sorted(steps):
+            reference = _reference_pieri_matrix(a, row, m)
+            pieri._pieri_column.cache_clear()
+            # last column first: each column lowers its own ancestors
+            for j in reversed(range(realize(add_box(a, row), m).dim)):
+                assert pieri._pieri_column(a, row, m, j) == tuple(r[j] for r in reference)
+            assert pieri_map(a, row, m).matrix == reference
+
+    def test_two_step_reads_columns_on_demand(self):
+        # a cold two-step call builds no pieri_map and, on every
+        # realization of dimension at least 5, only some columns of each
+        # generator and of the first one-box map
+        lazy = 0
+        for a, rows, m in two_step_sweep():
+            _clear_pieri_caches()
+            two_step_coefficients(a, rows, m)
+            assert pieri.pieri_map.cache_info().currsize == 0
+            a1 = add_box(a, rows[0])
+            for shape in {a, a1, add_box(a1, rows[1])}:
+                real = realize(shape, m)
+                for kind in ("e", "f"):
+                    for i in range(1, m):
+                        cached = sum(key[:2] == (kind, i) for key in real._op_cache)
+                        assert cached < real.dim or real.dim < 5
+            if realize(a1, m).dim >= 5:
+                lazy += 1
+                assert pieri._pieri_column.cache_info().currsize < realize(a1, m).dim
+        assert lazy > 40
+
+
 class TestRaisingKernel:
     """The highest vectors of realize, the one-box maps and the MultMap
     summands against dense nullspace references over the same rows."""
