@@ -273,7 +273,7 @@ class RelationPlan:
     middle vertex lie in the support, in vertex, box and equation order
     (the order of double_additions and relation_system): terms as in
     RelationEquation, paths the (mid, weight) of the terms with that
-    middle vertex present, where
+    middle vertex present and a nonzero coefficient, where
     weight = coeff * scale / (d1 * d2) over the path's arrow denominators
     (1 if missing) and scale is the least making every weight integral."""
 
@@ -333,6 +333,10 @@ def relation_plan(rep: QuiverRep) -> RelationPlan:
                     tgt = steps[mid].get(second)
                     if tgt is None:
                         break
+                    if not coeff:
+                        # 1/qt - 1/pt vanishes when pt = qt: the term
+                        # fixes the target but adds no path
+                        continue
                     a1, a2 = arrows.get((src, mid)), arrows.get((mid, tgt))
                     den = coeff.denominator * (a1[2] if a1 else 1) * (a2[2] if a2 else 1)
                     g = gcd(coeff.numerator, den)

@@ -10,7 +10,13 @@ gives exact decisions for representations supported on a single segment
 The tangent dimension is that of the relation variety at the point,
 linearized over all arrow slots inside the support, minus the dimension
 of the orbit of the base-change group; the output is the tangent
-dimension of the relation variety modulo gauge.
+dimension of the relation variety modulo gauge.  The orbit's dimension
+is the rank of the gauge map u -> (u_dst A - A u_src) per arrow, read
+only at the slot coordinates that are not pivots of the echelon
+relation Jacobian J.  That loses no rank: the relations are equivariant,
+so at a valid point J maps every orbit vector to u_tgt R - R u_src = 0,
+and a vector of ker J that vanishes at every free coordinate of an
+echelon basis vanishes at its pivots too, last pivot first.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg, rootsys
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 from .linalg import SpanBasis, matmul
 from .quiver import (
     QuiverRep,
@@ -168,7 +174,13 @@ def path_semistable(rep: QuiverRep, ch: Character) -> bool:
 
 def tangent_dim(rep: QuiverRep) -> int:
     """Dimension of the linearized relation variety at the point, minus
-    the orbit dimension of the base-change group."""
+    the orbit dimension of the base-change group.
+
+    The orbit lies in ker J for the relation Jacobian J (the relations
+    are equivariant), and ker J maps one-to-one onto J's free
+    coordinates, so the gauge rows are built at those coordinates only.
+    A negative result is a bug, not bad input: an InternalCheckError.
+    """
     plan = relation_plan(rep)
     if check_relations(rep, plan):
         raise DomainError("tangent space is computed at valid points only")
@@ -178,37 +190,47 @@ def tangent_dim(rep: QuiverRep) -> int:
         jacobian.insert(row)
     deformation = jacobian.width - jacobian.dim
 
-    end_dim = _endomorphism_dim(rep, plan)
-    gauge = sum(d * d for d in dims) - end_dim
+    gauge = _gauge_rank(rep, plan, set(jacobian.pivots))
+    end_dim = sum(d * d for d in dims) - gauge
     result = deformation - gauge
     if result < 0:
-        raise DomainError(
+        raise InternalCheckError(
             f"negative tangent dimension: deformations {deformation}, "
             f"gauge {gauge}, endomorphisms {end_dim}"
         )
     return result
 
 
-def _endomorphism_dim(rep: QuiverRep, plan: RelationPlan) -> int:
-    """Dimension of the space of vertex maps commuting with every arrow."""
+def _gauge_rank(rep: QuiverRep, plan: RelationPlan, pivots: set[int]) -> int:
+    """Rank of the gauge map u -> (u_dst A - A u_src) over the present
+    arrows, one row per slot coordinate outside pivots: the columns are
+    the vertex blocks of u, the slot coordinates those of
+    relation_jacobian over plan.slots."""
     dims = rep.dims()
     offsets = []
     total = 0
     for d in dims:
         offsets.append(total)
         total += d * d
+    coordinates = {}
+    width = 0
+    for i, j in plan.slots:
+        coordinates[(i, j)] = width
+        width += dims[j] * dims[i]
     basis = SpanBasis(total)
     for (i, j), (m, _, _) in plan.arrows.items():
         du, dv = dims[i], dims[j]
-        dst, src = offsets[j], offsets[i]
+        dst, src, first = offsets[j], offsets[i], coordinates[(i, j)]
         for r in range(dv):
             for c in range(du):
-                # (A_dst M - M A_src)[r][c] = 0, times M's denominator; an
+                if first + r * du + c in pivots:
+                    continue
+                # (u_dst A - A u_src)[r][c], times A's denominator; an
                 # arrow joins two distinct vertices, so the blocks do not overlap
                 row = {dst + r * dv + x: m[x][c] for x in range(dv) if m[x][c]}
                 row.update({src + x * du + c: -m[r][x] for x in range(du) if m[r][x]})
                 basis.insert(row)
-    return total - basis.dim
+    return basis.dim
 
 
 @dataclass(frozen=True)
