@@ -333,14 +333,15 @@ def relation_plan(rep: QuiverRep) -> RelationPlan:
                     tgt = steps[mid].get(second)
                     if tgt is None:
                         break
-                    if not coeff:
+                    num = coeff.numerator
+                    if not num:
                         # 1/qt - 1/pt vanishes when pt = qt: the term
                         # fixes the target but adds no path
                         continue
                     a1, a2 = arrows.get((src, mid)), arrows.get((mid, tgt))
                     den = coeff.denominator * (a1[2] if a1 else 1) * (a2[2] if a2 else 1)
-                    g = gcd(coeff.numerator, den)
-                    paths.append((mid, coeff.numerator // g, den // g))
+                    g = gcd(num, den)
+                    paths.append((mid, num // g, den // g))
                 if tgt is not None:
                     scale = lcm(*(den for _, _, den in paths))
                     paths = [(mid, num * (scale // den)) for mid, num, den in paths]
