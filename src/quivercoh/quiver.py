@@ -408,6 +408,17 @@ def check_relations(rep: QuiverRep, plan: RelationPlan | None = None) -> list[Vi
     return out
 
 
+def slot_offsets(dims, slots) -> tuple[dict[tuple[int, int], int], int]:
+    """First column of each slot's row-major dst x src block, the blocks
+    laid out in the order of slots, and the total width."""
+    offsets = {}
+    total = 0
+    for i, j in slots:
+        offsets[(i, j)] = total
+        total += dims[j] * dims[i]
+    return offsets, total
+
+
 def relation_jacobian(
     rep: QuiverRep, slots, plan: RelationPlan | None = None
 ) -> list[tuple[dict[int, int], int]]:
@@ -424,11 +435,7 @@ def relation_jacobian(
     """
     plan = plan or relation_plan(rep)
     dims, arrows = rep.dims(), plan.arrows
-    offsets = {}
-    total = 0
-    for i, j in slots:
-        offsets[(i, j)] = total
-        total += dims[j] * dims[i]
+    offsets, _ = slot_offsets(dims, slots)
     out = []
     for src, tgt, _, scale, paths in plan.relations:
         rows, cols = dims[tgt], dims[src]

@@ -36,6 +36,7 @@ from .quiver import (
     relation_jacobian,
     relation_plan,
     segment_product,
+    slot_offsets,
 )
 from .rootsys import Weight
 
@@ -185,12 +186,13 @@ def tangent_dim(rep: QuiverRep) -> int:
     if check_relations(rep, plan):
         raise DomainError("tangent space is computed at valid points only")
     dims = rep.dims()
-    jacobian = SpanBasis(sum(dims[j] * dims[i] for i, j in plan.slots))
+    offsets, width = slot_offsets(dims, plan.slots)
+    jacobian = SpanBasis(width)
     for row, _ in relation_jacobian(rep, plan.slots, plan):
         jacobian.insert(row)
     deformation = jacobian.width - jacobian.dim
 
-    gauge = _gauge_rank(rep, plan, set(jacobian.pivots))
+    gauge = _gauge_rank(rep, plan, offsets, set(jacobian.pivots))
     end_dim = sum(d * d for d in dims) - gauge
     result = deformation - gauge
     if result < 0:
@@ -201,26 +203,21 @@ def tangent_dim(rep: QuiverRep) -> int:
     return result
 
 
-def _gauge_rank(rep: QuiverRep, plan: RelationPlan, pivots: set[int]) -> int:
+def _gauge_rank(rep: QuiverRep, plan: RelationPlan, offsets: dict, pivots: set[int]) -> int:
     """Rank of the gauge map u -> (u_dst A - A u_src) over the present
-    arrows, one row per slot coordinate outside pivots: the columns are
-    the vertex blocks of u, the slot coordinates those of
-    relation_jacobian over plan.slots."""
+    arrows, one row per slot coordinate outside pivots; the columns are
+    the vertex blocks of u, and offsets are the slot_offsets of the
+    coordinates."""
     dims = rep.dims()
-    offsets = []
+    blocks = []
     total = 0
     for d in dims:
-        offsets.append(total)
+        blocks.append(total)
         total += d * d
-    coordinates = {}
-    width = 0
-    for i, j in plan.slots:
-        coordinates[(i, j)] = width
-        width += dims[j] * dims[i]
     basis = SpanBasis(total)
     for (i, j), (m, _, _) in plan.arrows.items():
         du, dv = dims[i], dims[j]
-        dst, src, first = offsets[j], offsets[i], coordinates[(i, j)]
+        dst, src, first = blocks[j], blocks[i], offsets[(i, j)]
         for r in range(dv):
             for c in range(du):
                 if first + r * du + c in pivots:

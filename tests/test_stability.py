@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from quivercoh import linalg, quiver, rootsys, stability
-from quivercoh.errors import DomainError
+from quivercoh.cli import main
+from quivercoh.errors import DomainError, InternalCheckError
+from quivercoh.generate import random_rep
 from quivercoh.linalg import mat, matmul
 
 from conftest import (
     GR13,
+    GR14,
     P1,
     P2,
+    P3,
     adv_rep,
     dual_euler_rep,
     euler_rep,
@@ -227,6 +232,129 @@ class TestTangent:
             conjugated = _conjugate(rep, rng)
             assert quiver.check_relations(conjugated) == []
             assert stability.tangent_dim(conjugated) == 1
+
+    @pytest.mark.parametrize("space", [P2, P3, GR13, GR14], ids=str)
+    def test_base_change_invariance_on_random_reps(self, space):
+        rng = random.Random(23)
+        for max_dim in (2, 3, 3, 4):
+            rep = _random_valid_rep(space, rng, max_dim)
+            expected = stability.tangent_dim(rep)
+            conjugated = _conjugate(rep, rng)
+            assert quiver.check_relations(conjugated) == []
+            assert stability.tangent_dim(conjugated) == expected
+
+    @pytest.mark.parametrize("space", [P2, P3, GR13, GR14], ids=str)
+    @pytest.mark.parametrize("max_dim", [2, 3, 4])
+    def test_matches_full_endomorphism_system(self, space, max_dim):
+        rng = random.Random(100 * max_dim + space.n)
+        for _ in range(9):
+            rep = _random_valid_rep(space, rng, max_dim)
+            assert stability.tangent_dim(rep) == _tangent_oracle(rep)
+
+    def test_negative_dimension_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        # the gauge rank is at most the number of free coordinates it is
+        # read at, so only a broken _gauge_rank can make the result negative
+        monkeypatch.setattr(stability, "_gauge_rank", lambda rep, plan, offsets, pivots: 10**6)
+        rep = generic_ex73_rep()
+        with pytest.raises(InternalCheckError, match="negative tangent dimension"):
+            stability.tangent_dim(rep)
+        path = tmp_path / "rep.json"
+        path.write_text(quiver.rep_to_json(rep))
+        assert main(["stability", "tangent", "--rep", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("internal error: negative tangent dimension")
+
+
+@pytest.mark.parametrize("space", [P2, P3, GR13, GR14], ids=str)
+@pytest.mark.parametrize("isolated", [False, True])
+@pytest.mark.parametrize("drop_level", [False, True])
+def test_jacobian_annihilates_the_gauge_orbit(space, isolated, drop_level):
+    # the premise of tangent_dim's free-coordinate rank, in exact arithmetic
+    rng = random.Random(7 * space.n + 2 * isolated + drop_level)
+    absent = moved = 0
+    for _ in range(6):
+        rep = _random_valid_rep(space, rng, 3, isolated, drop_level)
+        slots = quiver.relation_plan(rep).slots
+        absent += len(rep.arrows) < len(slots)
+        orbit = _orbit_vectors(rep, slots)
+        moved += any(map(any, orbit))
+        for row, _ in quiver.relation_jacobian(rep, slots):
+            for vec in orbit:
+                assert sum(x * vec[c] for c, x in row.items()) == 0
+    assert moved and (absent or not drop_level)
+
+
+def _random_valid_rep(space, rng, max_dim, isolated=None, drop_level=None):
+    """A seeded rep that satisfies the relations.  isolated adds a vertex
+    far from every other; drop_level removes every arrow out of the
+    vertices of one slope, which keeps each relation: either all its
+    paths leave through that slope or none does.  Each is drawn at
+    random when None."""
+    rep = random_rep(space, rng, max_dim=max_dim, max_vertices=10)
+    if isolated is None:
+        isolated = rng.random() < 0.3
+    if drop_level is None:
+        drop_level = rng.random() < 0.3
+    vertices = [(v.weight, v.dim) for v in rep.vertices]
+    arrows = [(rep.vertices[a.src].weight, a.box, a.matrix) for a in rep.arrows]
+    if isolated:
+        # a twist by a multiple of n + 1 stays in the component
+        far = rootsys.twist(space, vertices[0][0], 20 * (space.n + 1))
+        vertices.append((far, rng.randint(1, max_dim)))
+    if drop_level and arrows:
+        level = rootsys.slope(space, rng.choice(arrows)[0])
+        arrows = [a for a in arrows if rootsys.slope(space, a[0]) != level]
+    rep = quiver.make_rep(space, vertices, arrows)
+    assert quiver.check_relations(rep) == []
+    return rep
+
+
+def _orbit_vectors(rep, slots):
+    """u_dst A - A u_src over the slots, dense and row-major per slot as
+    in relation_jacobian, for u each elementary matrix at each vertex:
+    these span the tangent space of the gauge orbit."""
+    dims = rep.dims()
+    blocks = [(i, j, rep.arrow_matrix(i, j)) for i, j in slots]
+    out = []
+    for v, d in enumerate(dims):
+        for a, b in product(range(d), repeat=2):
+            vec = []
+            for i, j, m in blocks:
+                for r, c in product(range(dims[j]), range(dims[i])):
+                    x = Fraction(0)
+                    if m is not None and j == v and r == a:
+                        x += m[b][c]
+                    if m is not None and i == v and c == b:
+                        x -= m[r][a]
+                    vec.append(x)
+            out.append(vec)
+    return out
+
+
+def _endomorphism_dim(rep):
+    """Dimension of the vertex maps commuting with every arrow, from the
+    full system: one row per entry of every arrow, in Fractions."""
+    dims = rep.dims()
+    offsets = [sum(d * d for d in dims[:i]) for i in range(len(dims))]
+    basis = linalg.SpanBasis(sum(d * d for d in dims))
+    for a in rep.arrows:
+        m, du, dv = a.matrix, dims[a.src], dims[a.dst]
+        dst, src = offsets[a.dst], offsets[a.src]
+        for r, c in product(range(dv), range(du)):
+            # (u_dst A - A u_src)[r][c] = 0
+            row = {dst + r * dv + x: m[x][c] for x in range(dv) if m[x][c]}
+            row.update({src + x * du + c: -m[r][x] for x in range(du) if m[r][x]})
+            basis.insert(row)
+    return basis.width - basis.dim
+
+
+def _tangent_oracle(rep):
+    """tangent_dim with the gauge orbit ranked on every slot coordinate:
+    dim ker J minus (sum of d^2 minus the endomorphism dimension)."""
+    plan = quiver.relation_plan(rep)
+    dims = rep.dims()
+    width = sum(dims[j] * dims[i] for i, j in plan.slots)
+    rank = linalg.row_rank((row for row, _ in quiver.relation_jacobian(rep, plan.slots, plan)), width)
+    return width - rank - (sum(d * d for d in dims) - _endomorphism_dim(rep))
 
 
 def _conjugate(rep, rng):
