@@ -206,8 +206,8 @@ def tangent_dim(rep: QuiverRep) -> int:
 def _gauge_rank(rep: QuiverRep, plan: RelationPlan, offsets: dict, pivots: set[int]) -> int:
     """Rank of the gauge map u -> (u_dst A - A u_src) over the present
     arrows, one row per slot coordinate outside pivots; the columns are
-    the vertex blocks of u, and offsets are the slot_offsets of the
-    coordinates."""
+    the vertex blocks of u, and offsets maps each slot to its first
+    coordinate, as slot_offsets lays them out."""
     dims = rep.dims()
     blocks = []
     total = 0

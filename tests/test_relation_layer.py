@@ -142,6 +142,24 @@ def test_relation_plan_walks_every_supported_relation(space, seed, drop, isolate
         assert not steps[i] and all(i not in step.values() for step in steps)
 
 
+@pytest.mark.parametrize("space", [GR13, GR14], ids=str)
+def test_relation_plan_drops_zero_weight_paths(space):
+    # a term whose coefficient 1/qt - 1/pt vanishes (pt = qt, rows distinct
+    # on both sides, so never on projective space) fixes the relation's
+    # target but adds no path
+    rng = random.Random(5)
+    dropped = 0
+    for _ in range(10):
+        plan = quiver.relation_plan(random_rep(space, rng, max_vertices=12))
+        for src, _, terms, _, paths in plan.relations:
+            step = plan.steps[src]
+            present = [(step[first], coeff) for first, _, coeff in terms if first in step]
+            assert [mid for mid, _ in paths] == [mid for mid, coeff in present if coeff]
+            assert all(weight for _, weight in paths)
+            dropped += any(not coeff for _, coeff in present)
+    assert dropped
+
+
 WIDE = (1, 2, 3, 7, 10**9 + 7, 2**31 - 1, 2**61 - 1)
 
 

@@ -286,9 +286,9 @@ def test_jacobian_annihilates_the_gauge_orbit(space, isolated, drop_level):
 def _random_valid_rep(space, rng, max_dim, isolated=None, drop_level=None):
     """A seeded rep that satisfies the relations.  isolated adds a vertex
     far from every other; drop_level removes every arrow out of the
-    vertices of one slope, which keeps each relation: either all its
-    paths leave through that slope or none does.  Each is drawn at
-    random when None."""
+    vertices of one slope, which keeps each relation: either every path
+    of it uses an arrow out of that slope or none does.  Each is drawn
+    at random when None."""
     rep = random_rep(space, rng, max_dim=max_dim, max_vertices=10)
     if isolated is None:
         isolated = rng.random() < 0.3
