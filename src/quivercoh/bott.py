@@ -14,8 +14,8 @@ differentials of the cohomology complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import rootsys
 from .errors import DomainError, InternalCheckError
@@ -23,8 +23,7 @@ from .linalg import det, mat
 from .rootsys import Space, Weight
 
 
-@dataclass(frozen=True)
-class BottValue:
+class BottValue(NamedTuple):
     """Nonzero cohomology of an irreducible bundle: one degree, one
     dominant weight."""
 
@@ -77,8 +76,7 @@ def _chamber_of(e: list[int]) -> tuple[int, ...]:
     return tuple(sorted(range(len(e)), key=lambda i: -e[i]))
 
 
-@dataclass(frozen=True)
-class Mirror:
+class Mirror(NamedTuple):
     """Reflection of a weight into an adjacent chamber.
 
     target - source = (steps) * (the cotangent weight for box) when the

@@ -21,9 +21,9 @@ since no inclusion structure is claimed for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from . import bott, linalg, rootsys
 from .bott import chamber_graph, chamber_key
@@ -35,8 +35,7 @@ from .quiver import QuiverRep, RelationPlan, check_relations, relation_plan, seg
 from .rootsys import Space, Weight
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(NamedTuple):
     """All vertices of a representation sharing one cohomology module and
     one degree, with their multiplicities."""
 
@@ -122,8 +121,7 @@ def _dim(blocks: tuple[tuple[int, int], ...]) -> int:
     return sum(dim for _, dim in blocks)
 
 
-@dataclass(frozen=True)
-class ClassComplex:
+class ClassComplex(NamedTuple):
     """Differentials for one cohomology module: vertex blocks per degree
     and, per degree d, the map to d + 1 as (rows, den), its entry in row
     r, column c being rows[r].get(c, 0) / den."""
@@ -133,17 +131,16 @@ class ClassComplex:
     blocks: dict[int, tuple[tuple[int, int], ...]]
     differentials: dict[int, tuple[tuple[dict[int, int], ...], int]]
 
-    @cached_property
+    @property
     def maps(self) -> dict[int, Matrix]:
-        """degree d -> dense matrix from d to d + 1, derived on first use."""
+        """degree d -> dense matrix from d to d + 1, derived on each read."""
         return {
             d: linalg.dense(rows, _dim(self.blocks[d]), den)
             for d, (rows, den) in self.differentials.items()
         }
 
 
-@dataclass(frozen=True)
-class CohomologyComplex:
+class CohomologyComplex(NamedTuple):
     space: Space
     classes: tuple[ClassComplex, ...]
     max_steps: int | None
@@ -230,16 +227,14 @@ def build_complex(rep: QuiverRep, gauge_twist: frozenset = frozenset()) -> Cohom
     return _assemble(rep.space, _walk(rep, gauge_twist), None)
 
 
-@dataclass(frozen=True, slots=True)
-class TableRow:
+class TableRow(NamedTuple):
     degree: int
     nu: Weight
     multiplicity: int
     dim: int
 
 
-@dataclass(frozen=True, slots=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     space: Space
     rows: tuple[TableRow, ...]
 
@@ -288,8 +283,7 @@ def graded_table(rep: QuiverRep) -> CohomologyTable:
     return CohomologyTable(rep.space, tuple(rows))
 
 
-@dataclass(frozen=True)
-class TruncatedResult:
+class TruncatedResult(NamedTuple):
     """Homology of the truncated sequence.  For 1 < steps < full this is
     reported with a caveat: the truncated maps need not square to zero
     and no filtration of the full cohomology is claimed."""

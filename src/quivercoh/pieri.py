@@ -28,9 +28,9 @@ lru_caches makes the next call cold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg, rootsys
 from .errors import DomainError, InternalCheckError
@@ -136,20 +136,28 @@ class _Ambient:
         return {i: c for i, c in out.items() if c != 0}
 
 
-@dataclass
 class SchurRealization:
     """Concrete Schur module: basis vectors inside the ambient product of
     symmetric powers, the lowering tree that produced them, and the
     Chevalley generator action."""
 
-    shape: Shape
-    m: int
-    ambient: _Ambient
-    basis: list[dict[int, Fraction]]
-    parents: list[tuple[int, int] | None]
-    weights: list[tuple[int, ...]]
-    _expand_cache: dict = field(default_factory=dict)
-    _op_cache: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        shape: Shape,
+        m: int,
+        ambient: _Ambient,
+        basis: list[dict[int, Fraction]],
+        parents: list[tuple[int, int] | None],
+        weights: list[tuple[int, ...]],
+    ):
+        self.shape = shape
+        self.m = m
+        self.ambient = ambient
+        self.basis = basis
+        self.parents = parents
+        self.weights = weights
+        self._expand_cache = {}
+        self._op_cache = {}
 
     @property
     def dim(self) -> int:
@@ -357,8 +365,7 @@ def _highest_vectors(real: SchurRealization, target) -> list[tuple[Fraction, ...
     return out
 
 
-@dataclass(frozen=True)
-class PieriMatrix:
+class PieriMatrix(NamedTuple):
     """The equivariant one-box map from the module of the larger shape
     into (module of the smaller shape) x C^m, normalized so the highest
     vector maps to kappa x e_row plus lower terms with coefficient 1.

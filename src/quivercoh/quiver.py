@@ -27,12 +27,12 @@ verifies the coefficients against a brute-force equivariant construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import add, mul
+from typing import NamedTuple
 
 from . import linalg, rootsys
 from .errors import DomainError, InternalCheckError, ParseError
@@ -42,22 +42,19 @@ from .rootsys import Space, Weight
 Box = tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(NamedTuple):
     weight: Weight
     dim: int
 
 
-@dataclass(frozen=True, slots=True)
-class Arrow:
+class Arrow(NamedTuple):
     src: int
     dst: int
     box: Box
     matrix: Matrix
 
 
-@dataclass(frozen=True, slots=True)
-class QuiverRep:
+class QuiverRep(NamedTuple):
     space: Space
     vertices: tuple[Vertex, ...]
     arrows: tuple[Arrow, ...]
@@ -167,8 +164,7 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
     return QuiverRep(space, new_vertices, tuple(new_arrows))
 
 
-@dataclass(frozen=True)
-class RelationEquation:
+class RelationEquation(NamedTuple):
     """One quadratic relation: sum of coeff * (second arrow) o (first
     arrow) over two-step paths from source to target."""
 
@@ -262,8 +258,7 @@ def _relation_terms(p1: int, p2: int, q1: int, q2: int, pt: int, qt: int):
     )
 
 
-@dataclass(frozen=True, slots=True)
-class RelationPlan:
+class RelationPlan(NamedTuple):
     """The relations of one representation, walked once for integer
     arithmetic.  arrows maps (src, dst) to (rows, columns, den), the
     matrix being rows / den with rows primitive; steps[i] maps each box
@@ -368,8 +363,7 @@ def segment_product(plan: RelationPlan, i: int, box: Box, steps: int):
     return product, den
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     source: Weight
     target: Weight
     equation: RelationEquation

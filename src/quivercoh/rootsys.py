@@ -13,25 +13,30 @@ immutable and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError
 
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Space:
-    """The Grassmannian of projective k-planes in P^n."""
-
+class _SpaceFields(NamedTuple):
     k: int
     n: int
 
-    def __post_init__(self):
-        if not (0 <= self.k < self.n):
-            raise DomainError(f"need 0 <= k < n, got k={self.k}, n={self.n}")
+
+class Space(_SpaceFields):
+    """The Grassmannian of projective k-planes in P^n."""
+
+    __slots__ = ()
+
+    def __new__(cls, k, n):
+        k, n = as_int(k, "k"), as_int(n, "n")
+        if not (0 <= k < n):
+            raise DomainError(f"need 0 <= k < n, got k={k}, n={n}")
+        return super().__new__(cls, k, n)
 
     @property
     def rank(self) -> int:
@@ -199,8 +204,7 @@ def weyl_dim(a, m: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class BundleShape:
+class BundleShape(NamedTuple):
     """Canonical (alpha, beta, t) data of an irreducible bundle
     S^alpha(U) . S^beta(Q*) (t): alpha has strictly fewer than k+2 parts
     with the column of height k+1 absorbed into t, and likewise beta."""

@@ -21,9 +21,9 @@ echelon basis vanishes at its pivots too, last pivot first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import linalg, rootsys
 from .errors import DomainError, InternalCheckError
@@ -41,8 +41,7 @@ from .quiver import (
 from .rootsys import Weight
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """Integer weights per vertex, pairing to zero against the full
     dimension vector of the representation they were derived from."""
 
@@ -80,8 +79,7 @@ def pairing(ch: Character, subdims: dict) -> int:
     return sum(ch.value(w) * d for w, d in subdims.items())
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     arrow_closed: bool
     subdims: tuple[tuple[Weight, int], ...]
     pairing: int
@@ -230,8 +228,7 @@ def _gauge_rank(rep: QuiverRep, plan: RelationPlan, offsets: dict, pivots: set[i
     return basis.dim
 
 
-@dataclass(frozen=True)
-class Ex73Report:
+class Ex73Report(NamedTuple):
     """Invariants of the seven-vertex family on the projective plane with
     multiplicity two in the middle."""
 
