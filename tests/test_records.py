@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from quivercoh import bott, cohomology, pieri, quiver, stability
-from quivercoh.errors import DomainError
 from quivercoh.rootsys import Space
 
 from conftest import GR13, P2, adv_rep, generic_ex73_rep
@@ -68,20 +67,6 @@ def test_hash_is_the_hash_of_the_field_tuple(record):
     else:
         assert hash(record) == expected
     assert record == tuple(record)
-
-
-@pytest.mark.parametrize("k, n", [(0.5, 3), ("0", "3"), (0, "3"), (Fraction(1, 2), 2), (2, 2), (-1, 3)])
-def test_space_rejects_non_integral_or_out_of_range_arguments(k, n):
-    with pytest.raises(DomainError):
-        Space(k, n)
-
-
-@pytest.mark.parametrize("k, n", [(0, 3.0), (Fraction(1), 3), (1.0, Fraction(4))])
-def test_space_keeps_integral_arguments_as_ints(k, n):
-    space = Space(k, n)
-    assert space == Space(int(k), int(n))
-    assert type(space.k) is int and type(space.n) is int
-    assert repr(space) == f"Space(k={int(k)}, n={int(n)})"
 
 
 def test_realize_returns_one_cached_realization_per_key():

@@ -29,6 +29,18 @@ def d1_weights(space, bound):
 
 
 class TestIntegralInput:
+    @pytest.mark.parametrize("k, n", [(0.5, 3), ("0", "3"), (0, "3"), (Fraction(1, 2), 2), (-1, 3)])
+    def test_space_rejects_non_integral_or_out_of_range_arguments(self, k, n):
+        # Space(0.5, 3) used to be accepted, with dim 3.75
+        with pytest.raises(DomainError):
+            Space(k, n)
+
+    @pytest.mark.parametrize("k, n", [(0, 3.0), (Fraction(1), 3), (1.0, Fraction(4))])
+    def test_space_keeps_integral_arguments_as_ints(self, k, n):
+        space = Space(k, n)
+        assert type(space.k) is int and type(space.n) is int
+        assert repr(space) == f"Space(k={int(k)}, n={int(n)})"
+
     def test_non_integral_weight_entries_are_rejected(self):
         for bad in [(0.5, 0.5), (Fraction(1, 2), 0), ("1", 0), (float("nan"), 0)]:
             with pytest.raises(DomainError):
