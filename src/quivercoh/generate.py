@@ -84,7 +84,7 @@ def random_rep(space, rng, max_dim=2, max_vertices=6) -> QuiverRep:
         for row, _ in quiver.relation_jacobian(
             partial, [(index(w), index(target)) for w, _, target in slots]
         ):
-            jacobian.insert(row)
+            jacobian.insert_ints(row)
         flat = [Fraction(0)] * jacobian.width
         for vec in jacobian.kernel():
             c = _rand_frac(rng)

@@ -64,11 +64,6 @@ def mneg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mscale(c, a: Matrix) -> Matrix:
-    c = frac(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
@@ -105,7 +100,8 @@ class SpanBasis:
     entry, at the pivot, is positive; each is a positive multiple of the
     leading-1 row over Q.  A new vector is cleared of denominators once
     and reduced fraction-free against the rows in ascending pivot order,
-    so the reduction loops do integer arithmetic only."""
+    so the reduction loops do integer arithmetic only; insert_ints takes
+    an integer row as it is, for callers that discard their rows."""
 
     def __init__(self, width: int):
         self.width = width
@@ -148,11 +144,14 @@ class SpanBasis:
         pivot p, and integers num and scale with num / scale the value at
         p before scaling, or None if it already lies in the span."""
         if all(type(x) is int for x in vec.values()):
-            den = 1
-            v = {j: x for j, x in vec.items() if x}
-        else:
-            den = lcm(*(x.denominator for x in vec.values()))
-            v = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
+            return self.insert_ints({j: x for j, x in vec.items() if x})
+        den = lcm(*(x.denominator for x in vec.values()))
+        v = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
+        return self.insert_ints(v, den)
+
+    def insert_ints(self, v: dict[int, int], den: int = 1) -> tuple[int, int, int] | None:
+        """insert for the vector v / den, v a sparse row of nonzero
+        integers that the caller gives up: v is reduced in place."""
         scale = den * self._reduce(v, self.pivots)
         if not v:
             return None

@@ -2,14 +2,15 @@
 
 Vertices are D_1 weights, arrows are the box-pair translations carried
 by the cotangent bundle, and a homogeneous bundle is a representation:
-a multiplicity space per vertex and an exact rational matrix per arrow.
+a multiplicity space per vertex and an exact rational matrix per arrow,
+stored as integer rows over one denominator from construction on.
 Missing arrows are zero matrices; representations are stored sparsely
 and are immutable after construction.
 
 This module is the one place that walks the quadratic relations of a
 representation.  relation_plan walks them once per call into integer
-form: each arrow a primitive integer matrix over one denominator, each
-relation integer path weights over one scale.  It visits only the row
+form: each arrow read as its stored rows and denominator, each relation
+integer path weights over one scale.  It visits only the row
 pairs of the support's two-step paths, the only double box additions
 whose relations have a middle vertex and a target in the support.
 check_relations evaluates the plan, a relation holding iff its integer
@@ -48,10 +49,20 @@ class Vertex(NamedTuple):
 
 
 class Arrow(NamedTuple):
+    """An arrow whose matrix is rows / den: integer rows over den, the
+    lcm of the entries' reduced denominators, made once at construction."""
+
     src: int
     dst: int
     box: Box
-    matrix: Matrix
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+
+    @property
+    def matrix(self) -> Matrix:
+        """The rational matrix rows / den, derived on each read."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.rows)
 
 
 class QuiverRep(NamedTuple):
@@ -95,9 +106,51 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
 
     vertices: iterable of (weight, dim).  arrows: iterable of
     (src_weight, box, matrix) or (src_index, dst_index, box, matrix)
-    against the given vertex order.  Vertices are reordered
+    against the given vertex order.  Matrix entries are read exactly, as
+    Fraction reads them (ints, Fractions, finite floats, "1/2" strings);
+    any other entry is a DomainError.  Vertices are reordered
     lexicographically by weight; arrow indices follow.
     """
+    return _rep(
+        space,
+        vertices,
+        ((*ends, box, *_read_matrix(matrix, ends, box)) for *ends, box, matrix in arrows),
+    )
+
+
+def _read_matrix(matrix, ends, box) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A matrix of Python numbers as integer rows over one denominator;
+    ends and box, as given, name its arrow in an error."""
+    try:
+        return _cleared([[_read_number(x) for x in row] for row in matrix])
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        where = " -> ".join(map(str, ends))
+        raise DomainError(
+            f"arrow {where} along {box}: matrix entries must be rational numbers ({exc})"
+        ) from None
+
+
+def _read_number(x) -> tuple[int, int]:
+    """x as a reduced (numerator, denominator) pair."""
+    if type(x) is int:
+        return x, 1
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _cleared(pairs) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of reduced (numerator, denominator) pairs as integer rows
+    over the lcm of the denominators."""
+    den = lcm(*[d for row in pairs for _, d in row])
+    if den == 1:
+        return tuple([tuple([n for n, _ in row]) for row in pairs]), 1
+    return tuple([tuple([n * (den // d) for n, d in row]) for row in pairs]), den
+
+
+def _rep(space: Space, vertices, arrows) -> QuiverRep:
+    """make_rep on integer arrows, (src_weight, box, rows, den) or
+    (src_index, dst_index, box, rows, den), each matrix rows / den as an
+    Arrow stores it."""
     raw_vertices = [
         (rootsys.require_d1(space, w), rootsys.as_int(d, "vertex dimension"))
         for w, d in vertices
@@ -126,8 +179,7 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
             raise DomainError(f"box pair {box} out of range")
         return shifts[box]
 
-    for entry in arrows:
-        *ends, box, matrix = entry
+    for *ends, box, rows, den in arrows:
         try:
             p, q = box
         except (TypeError, ValueError):
@@ -152,14 +204,13 @@ def make_rep(space: Space, vertices, arrows) -> QuiverRep:
             raise DomainError(
                 f"arrow {sw} -> {dw} does not match box pair {box}"
             )
-        matrix = mat(matrix)
-        rows, cols = new_vertices[dst].dim, new_vertices[src].dim
-        if len(matrix) != rows or any(len(row) != cols for row in matrix):
+        nrows, ncols = new_vertices[dst].dim, new_vertices[src].dim
+        if len(rows) != nrows or any(len(row) != ncols for row in rows):
             raise DomainError(f"arrow matrix shape mismatch at {sw} -> {dw}")
         if (src, dst) in seen_pairs:
             raise DomainError(f"duplicate arrow {sw} -> {dw}")
         seen_pairs.add((src, dst))
-        new_arrows.append(Arrow(src, dst, box, matrix))
+        new_arrows.append(Arrow(src, dst, box, rows, den))
     new_arrows.sort(key=lambda a: (a.src, a.dst))
     return QuiverRep(space, new_vertices, tuple(new_arrows))
 
@@ -261,7 +312,7 @@ def _relation_terms(p1: int, p2: int, q1: int, q2: int, pt: int, qt: int):
 class RelationPlan(NamedTuple):
     """The relations of one representation, walked once for integer
     arithmetic.  arrows maps (src, dst) to (rows, columns, den), the
-    matrix being rows / den with rows primitive; steps[i] maps each box
+    arrow's stored rows / den and their columns; steps[i] maps each box
     to the support vertex it leads to from vertex i; slots are the quiver
     arrows between support vertices, present or not.  relations holds
     (src, tgt, terms, scale, paths) per relation whose target and some
@@ -285,13 +336,7 @@ def relation_plan(rep: QuiverRep) -> RelationPlan:
     vertex are tried: a relation through any other double box addition
     has no middle vertex or no target in the support.  Sorted, the pairs
     run in double_additions' product order."""
-    arrows = {}
-    for a in rep.arrows:
-        den = lcm(*(x.denominator for row in a.matrix for x in row))
-        rows = tuple(
-            tuple(x.numerator * (den // x.denominator) for x in row) for row in a.matrix
-        )
-        arrows[(a.src, a.dst)] = (rows, tuple(zip(*rows)), den)
+    arrows = {(a.src, a.dst): (a.rows, tuple(zip(*a.rows)), a.den) for a in rep.arrows}
     # steps[i][box] is the vertex box leads to from vertex i: a weight
     # plus a box weight lies in D_1 exactly when the box is addable
     index = {v.weight: i for i, v in enumerate(rep.vertices)}
@@ -422,9 +467,9 @@ def relation_jacobian(
     slots is a sequence of (src, dst) vertex index pairs; each slot owns
     a row-major dst x src block of the columns, in the given order.  The
     rows are one row-major tgt x src block per relation of the plan,
-    each a sparse integer row {column: entry} with its relation's scale:
-    the derivative is row / scale.  Arrows outside the slots are held
-    fixed, and missing arrows read as zero.  plan is rep's
+    each a sparse row {column: entry} of nonzero integers with its
+    relation's scale: the derivative is row / scale.  Arrows outside the
+    slots are held fixed, and missing arrows read as zero.  plan is rep's
     relation_plan, for a caller that also evaluates rep.
     """
     plan = plan or relation_plan(rep)
@@ -474,11 +519,17 @@ def unscale_from_commutative(rep: QuiverRep) -> QuiverRep:
 
 
 def _scale_arrows(rep: QuiverRep, power: int) -> QuiverRep:
-    def scaled(a: Arrow) -> Arrow:
-        s = Fraction(commutative_scale(rep.space, rep.vertices[a.src].weight, a.box))
-        return Arrow(a.src, a.dst, a.box, linalg.mscale(s**power, a.matrix))
+    def scaled(a: Arrow) -> tuple:
+        s = commutative_scale(rep.space, rep.vertices[a.src].weight, a.box)
+        rows, den = a.rows, a.den
+        if power > 0:
+            rows = tuple(tuple(s * x for x in row) for row in rows)
+        else:
+            den *= s
+        g = gcd(den, *(x for row in rows for x in row))
+        return a.src, a.dst, a.box, tuple(tuple(x // g for x in row) for row in rows), den // g
 
-    return QuiverRep(rep.space, rep.vertices, tuple(map(scaled, rep.arrows)))
+    return _rep(rep.space, rep.vertices, map(scaled, rep.arrows))
 
 
 def dual_rep(rep: QuiverRep) -> QuiverRep:
@@ -492,10 +543,9 @@ def dual_rep(rep: QuiverRep) -> QuiverRep:
     for a in rep.arrows:
         p, q = a.box
         dual_box = (space.k + 2 - p, space.n - space.k + 1 - q)
-        arrows.append(
-            (a.dst, a.src, dual_box, linalg.mneg(linalg.transpose(a.matrix)))
-        )
-    return make_rep(space, vertices, arrows)
+        negated = tuple(tuple(-x for x in col) for col in zip(*a.rows))
+        arrows.append((a.dst, a.src, dual_box, negated, a.den))
+    return _rep(space, vertices, arrows)
 
 
 def twist_rep(rep: QuiverRep, t: int) -> QuiverRep:
@@ -503,8 +553,7 @@ def twist_rep(rep: QuiverRep, t: int) -> QuiverRep:
     vertex weight twisted by t, the arrows kept (a twist changes no
     shape, so no relation)."""
     vertices = [(rootsys.twist(rep.space, v.weight, t), v.dim) for v in rep.vertices]
-    arrows = [(a.src, a.dst, a.box, a.matrix) for a in rep.arrows]
-    return make_rep(rep.space, vertices, arrows)
+    return _rep(rep.space, vertices, rep.arrows)
 
 
 def direct_sum(r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
@@ -538,13 +587,14 @@ def _closure_spans(rep: QuiverRep, spans) -> list[SpanBasis]:
                 raise DomainError("witness vector length mismatch")
             basis.add(vec)
         bases.append(basis)
+    arrows = [(a.src, a.dst, a.matrix) for a in rep.arrows]
     changed = True
     while changed:
         changed = False
-        for a in rep.arrows:
-            for vec in bases[a.src].basis():
-                image = linalg.matvec(a.matrix, vec)
-                if bases[a.dst].add(image):
+        for src, dst, matrix in arrows:
+            for vec in bases[src].basis():
+                image = linalg.matvec(matrix, vec)
+                if bases[dst].add(image):
                     changed = True
     return bases
 
@@ -567,8 +617,9 @@ def _restrict(rep: QuiverRep, bases: list[SpanBasis]) -> QuiverRep:
         if a.src not in keep or a.dst not in keep:
             continue
         cols = []
+        matrix = a.matrix
         for vec in bases[a.src].basis():
-            image = linalg.matvec(a.matrix, vec)
+            image = linalg.matvec(matrix, vec)
             x = solvers[a.dst](image)
             if x is None:
                 raise DomainError("spans are not arrow-closed")
@@ -612,8 +663,9 @@ def quotient_by(rep: QuiverRep, spans) -> QuiverRep:
         comp_src = complements[a.src][1]
         dst_sub = complements[a.dst][0]
         cols = []
+        matrix = a.matrix
         for vec in comp_src:
-            image = linalg.matvec(a.matrix, vec)
+            image = linalg.matvec(matrix, vec)
             x = solvers[a.dst](image)
             if x is None:
                 raise InternalCheckError("subspace and complement do not span the fiber")
@@ -630,22 +682,23 @@ def quotient_arriving_at(rep: QuiverRep, vertex: int) -> QuiverRep:
         raise DomainError("vertex index out of range")
     dims = rep.dims()
     kernels = [[] if i == vertex else list(linalg.identity(d)) for i, d in enumerate(dims)]
+    arrows = [(a.src, a.dst, a.matrix) for a in rep.arrows]
     changed = True
     while changed:
         changed = False
-        for a in rep.arrows:
-            current = kernels[a.src]
+        for src, dst, matrix in arrows:
+            current = kernels[src]
             if not current:
                 continue
             # shrink the source space to vectors mapping into the target space
-            functionals = _complement_projector(kernels[a.dst], dims[a.dst])
+            functionals = _complement_projector(kernels[dst], dims[dst])
             basis_matrix = linalg.transpose(mat(current))
-            coeff = matmul(functionals, matmul(a.matrix, basis_matrix))
+            coeff = matmul(functionals, matmul(matrix, basis_matrix))
             combos = linalg.nullspace(coeff)
             if len(combos) == len(current):
                 continue
             # current is a basis, so the images of a kernel basis are one too
-            kernels[a.src] = [linalg.matvec(basis_matrix, combo) for combo in combos]
+            kernels[src] = [linalg.matvec(basis_matrix, combo) for combo in combos]
             changed = True
     return quotient_by(rep, kernels)
 
@@ -665,18 +718,30 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
+    return Fraction(*parse_ratio(text))
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """A rational written "num/den" or "num" as a reduced (numerator,
+    denominator) pair, the denominator positive."""
     if not isinstance(text, str):
         raise ParseError(f"bad rational {text!r}: expected a string such as \"-1/2\"")
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/")
-            out = Fraction(int(num), int(den))
+            num, den = int(num), int(den)
         else:
-            out = Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+            num, den = int(text), 1
+    except ValueError as exc:
         raise ParseError(f"bad rational {text!r}: {exc}")
-    return out
+    if not den:
+        # the text Fraction's ZeroDivisionError gives
+        raise ParseError(f"bad rational {text!r}: Fraction({num}, 0)")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 def json_int(x) -> int:
@@ -722,8 +787,8 @@ def rep_from_data(data) -> QuiverRep:
             (tuple(json_int(c) for c in v["weight"]), json_int(v["dim"]))
             for v in data["vertices"]
         ]
-        # one Fraction per distinct entry text keeps parsed matrices small
-        entry = lru_cache(maxsize=None)(parse_frac)
+        # each distinct entry text is parsed once
+        entry = lru_cache(maxsize=None)(parse_ratio)
         arrows = []
         for a in data.get("arrows", []):
             i, j = a["box"]  # exactly two entries
@@ -735,9 +800,9 @@ def rep_from_data(data) -> QuiverRep:
                     json_int(a["from"]),
                     json_int(a["to"]),
                     (json_int(i), json_int(j)),
-                    [[entry(x) for x in row] for row in matrix],
+                    *_cleared([[entry(x) for x in row] for row in matrix]),
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad representation schema: {exc!r}")
-    return make_rep(space, vertices, arrows)
+    return _rep(space, vertices, arrows)

@@ -187,7 +187,7 @@ def tangent_dim(rep: QuiverRep) -> int:
     offsets, width = slot_offsets(dims, plan.slots)
     jacobian = SpanBasis(width)
     for row, _ in relation_jacobian(rep, plan.slots, plan):
-        jacobian.insert(row)
+        jacobian.insert_ints(row)
     deformation = jacobian.width - jacobian.dim
 
     gauge = _gauge_rank(rep, plan, offsets, set(jacobian.pivots))
@@ -224,7 +224,7 @@ def _gauge_rank(rep: QuiverRep, plan: RelationPlan, offsets: dict, pivots: set[i
                 # arrow joins two distinct vertices, so the blocks do not overlap
                 row = {dst + r * dv + x: m[x][c] for x in range(dv) if m[x][c]}
                 row.update({src + x * du + c: -m[r][x] for x in range(du) if m[r][x]})
-                basis.insert(row)
+                basis.insert_ints(row)
     return basis.dim
 
 

@@ -172,6 +172,11 @@ STRICT = {
     "matrix_rows_strings": (_one_arrow_rep(2, ["1", "2"]), CHECK, 2),
     "matrix_row_string": (_one_arrow_rep(1, ["12"]), CHECK, 2),
     "matrix_string": (_one_arrow_rep(1, "1"), CHECK, 2),
+    "entry_zero_den": (_one_arrow_rep(1, [["1/0"]]), CHECK, 2),
+    "entry_word": (_one_arrow_rep(1, [["abc"]]), CHECK, 2),
+    "entry_two_slashes": (_one_arrow_rep(1, [["1/2/3"]]), CHECK, 2),
+    "entry_empty": (_one_arrow_rep(1, [[""]]), CHECK, 2),
+    "entry_number": (_one_arrow_rep(1, [[1]]), CHECK, 2),
     "character_value_float": (_character(value=1.5), WITNESS, 2),
     "character_scale_float": (_character(scale=1.5), WITNESS, 2),
     "character_missing_vertex": (_character(keep=1), WITNESS, 1),

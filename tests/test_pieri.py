@@ -461,7 +461,7 @@ class TestMultMap:
             cols.append(mm.apply(vec))
         composite = linalg.transpose(linalg.mat(cols))
         assert composite[0][0] != 0
-        scaled = linalg.mscale(Fraction(1) / composite[0][0], composite)
+        scaled = tuple(tuple(x / composite[0][0] for x in row) for row in composite)
         assert scaled == linalg.identity(src.dim)
 
 

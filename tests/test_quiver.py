@@ -1,6 +1,9 @@
 import itertools
+import json
 import random
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -10,6 +13,7 @@ from quivercoh.linalg import mat, matmul
 
 from conftest import (
     GR13,
+    GR14,
     GR24,
     P1,
     P2,
@@ -18,6 +22,7 @@ from conftest import (
     dual_euler_rep,
     euler_rep,
     ex511_rep,
+    generic_ex73_rep,
     random_rep,
     zero_weight,
 )
@@ -59,6 +64,29 @@ class TestMakeRep:
         rep = quiver.make_rep(P2, vertices, [((1, 0), (1.0, Fraction(1)), [[1]])])
         assert rep == quiver.make_rep(P2, vertices, [((1, 0), (1, 1), [[1]])])
         assert all(type(x) is int for x in rep.arrows[0].box)
+
+    @pytest.mark.parametrize(
+        "matrix", [[["abc"]], [[float("nan")]], [[None]], [[[1]]], [[float("inf")]], 5, [3]]
+    )
+    def test_non_rational_entry_is_a_domain_error(self, matrix):
+        vertices = [((1, 0), 1), ((-1, 1), 1)]
+        named = {
+            "(1, 0) along (1, 1)": ((1, 0), (1, 1), matrix),
+            "0 -> 1 along (1, 1)": (0, 1, (1, 1), matrix),
+        }
+        for name, arrow in named.items():
+            with pytest.raises(DomainError, match=re.escape(f"arrow {name}: ")):
+                quiver.make_rep(P2, vertices, [arrow])
+
+    @pytest.mark.parametrize(
+        "entry", [0.5, 0.1, -2.0, True, False, "1/2", " -3/6 ", "7", Fraction(2, 4), -3, 0]
+    )
+    def test_rational_entries_are_read_exactly(self, entry):
+        vertices = [((1, 0), 1), ((-1, 1), 1)]
+        rep = quiver.make_rep(P2, vertices, [((1, 0), (1, 1), [[entry]])])
+        (a,) = rep.arrows
+        assert a.matrix == ((Fraction(entry),),)
+        assert (a.rows, a.den) == (((Fraction(entry).numerator,),), Fraction(entry).denominator)
 
 
 class TestRelationSystem:
@@ -319,6 +347,59 @@ class TestJson:
             again = quiver.rep_from_json(text)
             assert again == rep
             assert quiver.rep_to_json(again) == text
+
+    def test_make_rep_and_rep_from_json_agree(self):
+        """Both constructors store the same integer rows over the lcm of
+        the reduced entry denominators, and the plan reads those rows."""
+        reps = [adv_rep(), generic_ex73_rep(), ex511_rep(2, -3), euler_rep(P3, 5)]
+        for space in [P2, P3, GR13, GR14]:
+            rng = random.Random(f"integer arrows {space}")
+            reps += [random_rep(space, rng, max_dim=3) for _ in range(50)]
+        for rep in reps:
+            text = quiver.rep_to_json(rep)
+            data = json.loads(text)
+            made = quiver.make_rep(
+                rep.space,
+                [(v["weight"], v["dim"]) for v in data["vertices"]],
+                [(a["from"], a["to"], a["box"], a["matrix"]) for a in data["arrows"]],
+            )
+            parsed = quiver.rep_from_json(text)
+            assert made == parsed == rep
+            plan = quiver.relation_plan(parsed)
+            for a in parsed.arrows:
+                entries = [x for row in a.matrix for x in row]
+                assert a.den == lcm(*(x.denominator for x in entries))
+                assert gcd(a.den, *(x for row in a.rows for x in row)) == 1
+                assert all(type(x) is int for row in a.rows for x in row)
+                assert a.matrix == tuple(tuple(Fraction(x, a.den) for x in row) for row in a.rows)
+                rows, cols, den = plan.arrows[(a.src, a.dst)]
+                assert rows is a.rows and den == a.den
+                assert cols == tuple(zip(*a.rows))
+
+    @pytest.mark.parametrize("text", ["-2/4", "3", " 1/2 ", "0/5", " 3 / -6 "])
+    def test_entry_reader_agrees_with_parse_frac(self, text):
+        num, den = quiver.parse_ratio(text)
+        assert Fraction(num, den) == quiver.parse_frac(text)
+        assert den > 0 and gcd(num, den) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1/0", "bad rational '1/0': Fraction(1, 0)"),
+            ("abc", "bad rational 'abc': invalid literal for int() with base 10: 'abc'"),
+            ("1/2/3", "bad rational '1/2/3': too many values to unpack (expected 2)"),
+            ("", "bad rational '': invalid literal for int() with base 10: ''"),
+            (1, 'bad rational 1: expected a string such as "-1/2"'),
+        ],
+    )
+    def test_entry_reader_rejects_what_parse_frac_rejects(self, text, message):
+        for read in (quiver.parse_ratio, quiver.parse_frac):
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                read(text)
+        data = json.loads(quiver.rep_to_json(dual_euler_rep(P2)))
+        data["arrows"][0]["matrix"] = [[text]]
+        with pytest.raises(ParseError, match=re.escape(message)):
+            quiver.rep_from_data(data)
 
     def test_rationals_normalized(self):
         rep = quiver.make_rep(

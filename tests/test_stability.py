@@ -117,13 +117,13 @@ class TestWitness:
 
     def test_rescaling_arrows_changes_nothing(self, rng):
         rep = random_segment_rep(P2, rng)
-        scaled = quiver.QuiverRep(
+        scaled = quiver.make_rep(
             rep.space,
             rep.vertices,
-            tuple(
-                quiver.Arrow(a.src, a.dst, a.box, linalg.mscale(Fraction(5, 3), a.matrix))
+            [
+                (a.src, a.dst, a.box, [[Fraction(5, 3) * x for x in row] for row in a.matrix])
                 for a in rep.arrows
-            ),
+            ],
         )
         ch = stability.canonical_character(rep)
         for spans, nonzero in terminal_witnesses(rep):
@@ -378,15 +378,10 @@ def _conjugate(rep, rng):
             cols.append(linalg.solve(m, e))
         inverses.append(linalg.transpose(mat(cols)))
     arrows = [
-        quiver.Arrow(
-            a.src,
-            a.dst,
-            a.box,
-            matmul(changes[a.dst], matmul(a.matrix, inverses[a.src])),
-        )
+        (a.src, a.dst, a.box, matmul(changes[a.dst], matmul(a.matrix, inverses[a.src])))
         for a in rep.arrows
     ]
-    return quiver.QuiverRep(rep.space, rep.vertices, tuple(arrows))
+    return quiver.make_rep(rep.space, rep.vertices, arrows)
 
 
 class TestEx73:
