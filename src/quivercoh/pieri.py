@@ -439,16 +439,6 @@ def _lower_step(real: SchurRealization, col, i: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _lower_along(real: SchurRealization, tree: SchurRealization, top) -> list[tuple[Fraction, ...]]:
-    """Lower a highest vector top of (module real) x C^m along tree's
-    lowering tree: column j is _lower_step of column parent(j), for
-    tree.parents[j] = (parent, i)."""
-    cols = [top]
-    for parent, i in tree.parents[1:]:
-        cols.append(_lower_step(real, cols[parent], i))
-    return cols
-
-
 def product_op(real: SchurRealization, kind: str, i: int) -> Matrix:
     """Generator action on (module) x C^m, for equivariance checks."""
     m = real.m
@@ -528,18 +518,15 @@ class MultMap:
         self.target_shape = add_box(a, row)
         self.target = realize(self.target_shape, m)
         real = self.source
-        columns: list[list[Fraction]] = []
         self._target_dim = self.target.dim
+        # each summand's columns are its one-box map's, a scalar multiple
+        # of the lowered highest vector; the scalar cancels in apply
         addable = [r for r in range(1, m + 1) if box_addable(a, r, m)]
-        ordered = [row] + [r for r in addable if r != row]
-        for r in ordered:
-            summand = realize(add_box(a, r), m)
-            sols = _highest_vectors(real, summand.weights[0])
-            if len(sols) != 1:
-                raise InternalCheckError(
-                    f"summand {summand.shape} of {a} x C^{m} not multiplicity one"
-                )
-            columns.extend(_lower_along(real, summand, sols[0]))
+        columns = [
+            _pieri_column(a, r, m, j)
+            for r in [row] + [r for r in addable if r != row]
+            for j in range(realize(add_box(a, r), m).dim)
+        ]
         dim = real.dim * m
         if len(columns) != dim:
             raise InternalCheckError("summand dimensions do not fill the product")

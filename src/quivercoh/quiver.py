@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from . import linalg, rootsys
 from .errors import DomainError, InternalCheckError, ParseError
-from .linalg import Matrix, SpanBasis, mat, matmul, zeros
+from .linalg import Matrix, SpanBasis, mat, matmul
 from .rootsys import Space, Weight
 
 Box = tuple[int, int]
@@ -238,16 +238,14 @@ def double_additions(space: Space, w) -> list[tuple[Box, Box]]:
 def _row_pairs(padded: Weight) -> tuple[tuple[int, int], ...]:
     """Each row pair r1 <= r2 where two boxes fit into the padded
     partition."""
-    out = []
     nrows = len(padded)
-    for r1 in range(1, nrows + 1):
-        for r2 in range(r1, nrows + 1):
-            rows = list(padded)
-            rows[r1 - 1] += 1
-            rows[r2 - 1] += 1
-            if all(rows[i] >= rows[i + 1] for i in range(nrows - 1)):
-                out.append((r1, r2))
-    return tuple(out)
+    return tuple(
+        (r1, r2)
+        for r1 in range(1, nrows + 1)
+        if rootsys.box_addable(padded, r1, nrows)
+        for r2 in range(r1, nrows + 1)
+        if rootsys.box_addable(rootsys.add_box(padded, r1), r2, nrows)
+    )
 
 
 def _gap(padded: Weight, r1: int, r2: int) -> int:
@@ -578,7 +576,16 @@ def direct_sum(r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
     return make_rep(r1.space, sorted(dims.items()), arrows)
 
 
-def _closure_spans(rep: QuiverRep, spans) -> list[SpanBasis]:
+def _closure_spans(rep: QuiverRep, spans, arrows=None) -> list[SpanBasis]:
+    """Smallest spans containing the given vectors, one list per vertex
+    in canonical order, and closed under arrows: each (src, dst, matrix)
+    maps the span at src into the span at dst.  arrows defaults to rep's
+    own."""
+    if len(spans) != len(rep.vertices):
+        raise DomainError(
+            f"{len(spans)} span lists for {len(rep.vertices)} vertices: "
+            "give one list per vertex"
+        )
     bases = []
     for v, vecs in zip(rep.vertices, spans):
         basis = SpanBasis(v.dim)
@@ -587,7 +594,8 @@ def _closure_spans(rep: QuiverRep, spans) -> list[SpanBasis]:
                 raise DomainError("witness vector length mismatch")
             basis.add(vec)
         bases.append(basis)
-    arrows = [(a.src, a.dst, a.matrix) for a in rep.arrows]
+    if arrows is None:
+        arrows = [(a.src, a.dst, a.matrix) for a in rep.arrows]
     changed = True
     while changed:
         changed = False
@@ -599,118 +607,61 @@ def _closure_spans(rep: QuiverRep, spans) -> list[SpanBasis]:
     return bases
 
 
+def _subquotient(rep: QuiverRep, parts) -> QuiverRep:
+    """rep on span(sub + basis) modulo span(sub) at each vertex, written
+    in basis; parts holds one (sub, basis) pair of vector lists per
+    vertex, their spans arrow-closed.  Vertices with an empty basis are
+    dropped."""
+    # coordinates in sub + basis, one elimination per kept vertex
+    solvers = {
+        i: linalg.Solver(linalg.transpose(mat(sub + basis)))
+        for i, (sub, basis) in enumerate(parts)
+        if basis
+    }
+    arrows = []
+    for a in rep.arrows:
+        if a.src not in solvers or a.dst not in solvers:
+            continue
+        skip = len(parts[a.dst][0])
+        cols = []
+        for image in zip(*matmul(a.matrix, linalg.transpose(parts[a.src][1]))):
+            x = solvers[a.dst](image)
+            if x is None:
+                raise InternalCheckError("spans are not arrow-closed")
+            cols.append(x[skip:])
+        arrows.append((rep.vertices[a.src].weight, a.box, linalg.transpose(cols)))
+    vertices = [(rep.vertices[i].weight, len(parts[i][1])) for i in solvers]
+    return make_rep(rep.space, vertices, arrows)
+
+
 def submodule_generated(rep: QuiverRep, spans) -> QuiverRep:
     """Smallest subrepresentation containing the given spanning vectors,
     one list per vertex in canonical order.  Vertices whose subspace is
     zero are dropped."""
-    bases = _closure_spans(rep, spans)
-    return _restrict(rep, bases)
-
-
-def _restrict(rep: QuiverRep, bases: list[SpanBasis]) -> QuiverRep:
-    keep = [i for i, b in enumerate(bases) if b.dim > 0]
-    vertices = [(rep.vertices[i].weight, bases[i].dim) for i in keep]
-    # coordinates in each kept subspace, one elimination per vertex
-    solvers = {i: linalg.Solver(linalg.transpose(mat(bases[i].basis()))) for i in keep}
-    arrows = []
-    for a in rep.arrows:
-        if a.src not in keep or a.dst not in keep:
-            continue
-        cols = []
-        matrix = a.matrix
-        for vec in bases[a.src].basis():
-            image = linalg.matvec(matrix, vec)
-            x = solvers[a.dst](image)
-            if x is None:
-                raise DomainError("spans are not arrow-closed")
-            cols.append(x)
-        arrows.append(
-            (
-                rep.vertices[a.src].weight,
-                a.box,
-                linalg.transpose(mat(cols)),
-            )
-        )
-    return make_rep(rep.space, vertices, arrows)
+    return _subquotient(rep, [([], b.basis()) for b in _closure_spans(rep, spans)])
 
 
 def quotient_by(rep: QuiverRep, spans) -> QuiverRep:
-    """Quotient of rep by the subrepresentation generated by spans."""
-    bases = _closure_spans(rep, spans)
-    vertices = []
-    complements = []
-    for v, basis in zip(rep.vertices, bases):
-        comp = []
-        probe = SpanBasis(v.dim)
-        for row in basis.basis():
-            probe.add(row)
-        for unit in linalg.identity(v.dim):
-            if probe.add(unit):
-                comp.append(unit)
-        complements.append((basis, comp))
-        vertices.append((v.weight, len(comp)))
-    keep = [i for i, (_, comp) in enumerate(complements) if comp]
-    # coordinates in subspace + complement, one elimination per vertex
-    solvers = {
-        i: linalg.Solver(linalg.transpose(mat(list(sub.basis()) + comp)))
-        for i, (sub, comp) in enumerate(complements)
-        if i in keep
-    }
-    arrows = []
-    for a in rep.arrows:
-        if a.src not in keep or a.dst not in keep:
-            continue
-        comp_src = complements[a.src][1]
-        dst_sub = complements[a.dst][0]
-        cols = []
-        matrix = a.matrix
-        for vec in comp_src:
-            image = linalg.matvec(matrix, vec)
-            x = solvers[a.dst](image)
-            if x is None:
-                raise InternalCheckError("subspace and complement do not span the fiber")
-            cols.append(x[dst_sub.dim :])
-        arrows.append((rep.vertices[a.src].weight, a.box, linalg.transpose(mat(cols))))
-    vertices = [vertices[i] for i in keep]
-    return make_rep(rep.space, vertices, arrows)
+    """Quotient of rep by the subrepresentation generated by spans,
+    written in the unit vectors that complete a basis of it."""
+    parts = []
+    for basis, v in zip(_closure_spans(rep, spans), rep.vertices):
+        sub = basis.basis()
+        parts.append((sub, [unit for unit in linalg.identity(v.dim) if basis.add(unit)]))
+    return _subquotient(rep, parts)
 
 
 def quotient_arriving_at(rep: QuiverRep, vertex: int) -> QuiverRep:
     """Quotient by the largest subrepresentation invisible from the given
-    vertex: vectors all of whose path images have zero component there."""
+    vertex: vectors all of whose path images have zero component there.
+    The functionals that paths carry back from the vertex are the closure
+    of its dual space under the transposed arrows, and that
+    subrepresentation is their common kernel."""
     if not 0 <= vertex < len(rep.vertices):
         raise DomainError("vertex index out of range")
-    dims = rep.dims()
-    kernels = [[] if i == vertex else list(linalg.identity(d)) for i, d in enumerate(dims)]
-    arrows = [(a.src, a.dst, a.matrix) for a in rep.arrows]
-    changed = True
-    while changed:
-        changed = False
-        for src, dst, matrix in arrows:
-            current = kernels[src]
-            if not current:
-                continue
-            # shrink the source space to vectors mapping into the target space
-            functionals = _complement_projector(kernels[dst], dims[dst])
-            basis_matrix = linalg.transpose(mat(current))
-            coeff = matmul(functionals, matmul(matrix, basis_matrix))
-            combos = linalg.nullspace(coeff)
-            if len(combos) == len(current):
-                continue
-            # current is a basis, so the images of a kernel basis are one too
-            kernels[src] = [linalg.matvec(basis_matrix, combo) for combo in combos]
-            changed = True
-    return quotient_by(rep, kernels)
-
-
-def _complement_projector(span_vectors, dim: int) -> Matrix:
-    """Rows spanning functionals vanishing on the given vectors."""
-    if not span_vectors:
-        return linalg.identity(dim)
-    kernel = linalg.nullspace(mat(span_vectors))
-    if not kernel:
-        return zeros(1, dim)
-    return mat(kernel)
+    spans = [linalg.identity(v.dim) if i == vertex else [] for i, v in enumerate(rep.vertices)]
+    dual = [(a.dst, a.src, linalg.transpose(a.matrix)) for a in rep.arrows]
+    return quotient_by(rep, [f.kernel() for f in _closure_spans(rep, spans, dual)])
 
 
 def frac_str(x: Fraction) -> str:

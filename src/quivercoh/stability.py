@@ -207,15 +207,11 @@ def _gauge_rank(rep: QuiverRep, plan: RelationPlan, offsets: dict, pivots: set[i
     the vertex blocks of u, and offsets maps each slot to its first
     coordinate, as slot_offsets lays them out."""
     dims = rep.dims()
-    blocks = []
-    total = 0
-    for d in dims:
-        blocks.append(total)
-        total += d * d
+    blocks, total = slot_offsets(dims, [(i, i) for i in range(len(dims))])
     basis = SpanBasis(total)
     for (i, j), (m, _, _) in plan.arrows.items():
         du, dv = dims[i], dims[j]
-        dst, src, first = blocks[j], blocks[i], offsets[(i, j)]
+        dst, src, first = blocks[(j, j)], blocks[(i, i)], offsets[(i, j)]
         for r in range(dv):
             for c in range(du):
                 if first + r * du + c in pivots:

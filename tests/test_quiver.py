@@ -4,10 +4,11 @@ import random
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
-from quivercoh import linalg, quiver, rootsys
+from quivercoh import linalg, quiver, rootsys, stability
 from quivercoh.errors import DomainError, ParseError
 from quivercoh.linalg import mat, matmul
 
@@ -337,6 +338,95 @@ class TestConstructions:
         spans[top] = [[1]]
         sub = quiver.submodule_generated(rep, spans)
         assert len(sub.vertices) == 5  # the generator plus four reached
+
+
+
+def _check_witness(rep, spans):
+    return stability.check_witness(rep, spans, stability.canonical_character(rep))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [quiver.submodule_generated, quiver.quotient_by, _check_witness],
+    ids=["submodule_generated", "quotient_by", "check_witness"],
+)
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too_few", "too_many"])
+def test_span_list_count_must_match_the_vertices(build, extra):
+    rep = euler_rep(P2)
+    with pytest.raises(DomainError, match="one list per vertex"):
+        build(rep, [[[1]]] * (len(rep.vertices) + extra))
+
+
+def _seeded_reps(count):
+    for space in [P2, P3, GR13, GR14]:
+        rng = random.Random(f"subquotients {space}")
+        yield from (random_rep(space, rng, max_dim=3) for _ in range(count))
+
+
+def _by_weight(rep):
+    return {v.weight: v.dim for v in rep.vertices}
+
+
+def _path_rank(rep, src, dst):
+    """Rank of the dense products of the arrow matrices along every path
+    src -> dst, stacked; the empty path counts at src == dst."""
+    out = {a.src: [] for a in rep.arrows}
+    for a in rep.arrows:
+        out[a.src].append((a.dst, a.matrix))
+    rows = []
+    stack = [(src, linalg.identity(rep.vertices[src].dim))]
+    while stack:
+        i, product = stack.pop()
+        if i == dst:
+            rows.extend(product)
+        stack.extend((j, matmul(m, product)) for j, m in out.get(i, []))
+    return linalg.rank(rows) if rows else 0
+
+
+class TestSubquotients:
+    def test_quotient_arriving_at_matches_path_ranks(self):
+        """Dimension i of the quotient invisible-from-v is the rank of
+        the stacked path products i -> v: the functionals paths carry
+        back from v, whose common kernel is divided out."""
+        for rep in _seeded_reps(10):
+            for v in range(len(rep.vertices)):
+                quot = quiver.quotient_arriving_at(rep, v)
+                ranks = {w.weight: _path_rank(rep, i, v) for i, w in enumerate(rep.vertices)}
+                assert _by_weight(quot) == {w: r for w, r in ranks.items() if r}
+                assert not quiver.check_relations(quot)
+
+    def test_sub_and_quotient_dimensions_add_up(self):
+        for r, rep in enumerate(_seeded_reps(10)):
+            rng = random.Random(r)
+            for v in range(len(rep.vertices)):
+                spans = [[] for _ in rep.vertices]
+                spans[v] = [[rng.randint(-2, 2) for _ in range(rep.vertices[v].dim)]]
+                sub = _by_weight(quiver.submodule_generated(rep, spans))
+                quot = _by_weight(quiver.quotient_by(rep, spans))
+                for w, d in _by_weight(rep).items():
+                    assert sub.get(w, 0) + quot.get(w, 0) == d
+
+    @pytest.mark.parametrize("name", ["ex73", "gr13"])
+    def test_constructions_are_pinned(self, name):
+        """The exact JSON of the three constructions on the seven-vertex
+        family and on one seeded Gr(1,3) rep."""
+        if name == "ex73":
+            rep = generic_ex73_rep()
+            spans = [[] for _ in rep.vertices]
+            spans[rep.vertex_index((0, 3))] = [[1]]
+            vertex = rep.vertex_index((-1, 2))
+        else:
+            rep = random_rep(GR13, random.Random(4), max_dim=3)
+            spans = [[[1, 0]]] + [[] for _ in rep.vertices[1:]]
+            vertex = 1
+        pins = json.loads((Path(__file__).parent / "subquotient_pins.json").read_text())[name]
+        built = {
+            "submodule_generated": quiver.submodule_generated(rep, spans),
+            "quotient_by": quiver.quotient_by(rep, spans),
+            "quotient_arriving_at": quiver.quotient_arriving_at(rep, vertex),
+        }
+        for key, quot in built.items():
+            assert quiver.rep_to_json(quot) == json.dumps(pins[key], indent=2, sort_keys=True)
 
 
 class TestJson:
