@@ -12,8 +12,13 @@ lowering; multiplicity one makes every equivariant map recoverable by a
 small solve on its highest weight vector.  One routine, _raising_kernel,
 finds every highest vector (in the ambient product and in module x C^m),
 and one step, _lower_step, lowers a column of module x C^m by f_i x 1 +
-1 x f_i along a realization's lowering tree, for the one-box maps and
-for the summands of the product map alike.
+1 x f_i along a realization's lowering tree to build the one-box maps.
+
+One-box maps are composed in one way only: two_step_coefficients reads
+the composite of two one-box inclusions.  The side constants of the
+relation check (_side_constant) are two-step coefficients too, since
+each one-box surjection is a scalar multiple of the adjoint of its
+inclusion; no product map onto a summand is built or solved.
 
 The oracle computes only the columns an answer reads.  A realization
 computes each generator column (op_column) on first use, and each column
@@ -34,7 +39,7 @@ from typing import NamedTuple
 
 from . import linalg, rootsys
 from .errors import DomainError, InternalCheckError
-from .linalg import Matrix, SpanBasis, mat, matmul
+from .linalg import Matrix, SpanBasis, mat
 from .quiver import relation_system
 from .rootsys import Space, add_box, box_addable
 
@@ -424,7 +429,9 @@ def pieri_map(a: Shape, row: int, m: int) -> PieriMatrix:
 
 def _lower_step(real: SchurRealization, col, i: int) -> tuple[Fraction, ...]:
     """f_i x 1 + 1 x f_i applied to one column of (module real) x C^m,
-    coordinates b*m + t, reading the f_i columns it meets."""
+    coordinates b*m + t, reading the f_i columns it meets.  Only the
+    one-box maps are lowered: the side constants of the relation check
+    are read from two-step coefficients, with no product-map summands."""
     m = real.m
     out = [Fraction(0)] * (real.dim * m)
     for idx, c in enumerate(col):
@@ -437,41 +444,6 @@ def _lower_step(real: SchurRealization, col, i: int) -> tuple[Fraction, ...]:
         if t == i - 1:  # f_i sends e_i to e_{i+1} (0-based t)
             out[b * m + i] += c
     return tuple(out)
-
-
-def product_op(real: SchurRealization, kind: str, i: int) -> Matrix:
-    """Generator action on (module) x C^m, for equivariance checks."""
-    m = real.m
-    base = real.op_matrix(kind, i)
-    dim = real.dim * m
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for b in range(real.dim):
-        for b2 in range(real.dim):
-            c = base[b2][b]
-            if c != 0:
-                for t in range(m):
-                    rows[b2 * m + t][b * m + t] += c
-    for b in range(real.dim):
-        if kind == "e":
-            rows[b * m + (i - 1)][b * m + i] += 1
-        elif kind == "f":
-            rows[b * m + i][b * m + (i - 1)] += 1
-        else:
-            rows[b * m + (i - 1)][b * m + (i - 1)] += 1
-            rows[b * m + i][b * m + i] += -1
-    return mat(rows)
-
-
-def equivariance_residuals(pm: PieriMatrix):
-    """Yield residual matrices of the intertwining identity for every
-    Chevalley generator (all must vanish)."""
-    source = realize(pm.source, pm.m)
-    target = realize(pm.target, pm.m)
-    for kind in ("e", "f"):
-        for i in range(1, pm.m):
-            lhs = matmul(pm.matrix, source.op_matrix(kind, i))
-            rhs = matmul(product_op(target, kind, i), pm.matrix)
-            yield linalg.madd(lhs, linalg.mneg(rhs))
 
 
 def two_step_coefficients(a: Shape, rows: tuple[int, int], m: int) -> tuple[Fraction, Fraction]:
@@ -504,81 +476,33 @@ def two_step_coefficients(a: Shape, rows: tuple[int, int], m: int) -> tuple[Frac
     return coefficient(i - 1, j - 1), coefficient(j - 1, i - 1)
 
 
-class MultMap:
-    """The unique equivariant surjection (module a) x C^m onto the module
-    of a+box, normalized to send kappa x e_row to kappa."""
-
-    def __init__(self, a: Shape, row: int, m: int):
-        if not box_addable(a, row, m):
-            raise DomainError(f"cannot add a box in row {row} of {a}")
-        self.a = a
-        self.row = row
-        self.m = m
-        self.source = realize(a, m)
-        self.target_shape = add_box(a, row)
-        self.target = realize(self.target_shape, m)
-        real = self.source
-        self._target_dim = self.target.dim
-        # each summand's columns are its one-box map's, a scalar multiple
-        # of the lowered highest vector; the scalar cancels in apply
-        addable = [r for r in range(1, m + 1) if box_addable(a, r, m)]
-        columns = [
-            _pieri_column(a, r, m, j)
-            for r in [row] + [r for r in addable if r != row]
-            for j in range(realize(add_box(a, r), m).dim)
-        ]
-        dim = real.dim * m
-        if len(columns) != dim:
-            raise InternalCheckError("summand dimensions do not fill the product")
-        self._solver = linalg.Solver(linalg.transpose(columns))
-        kappa_vec = [Fraction(0)] * dim
-        kappa_vec[real.kappa * m + (row - 1)] = Fraction(1)
-        raw = self._raw_apply(kappa_vec)
-        norm = raw[self.target.kappa]
-        if norm == 0:
-            raise InternalCheckError("normalizing coefficient vanished in product map")
-        if any(x != 0 for k, x in enumerate(raw) if k != self.target.kappa):
-            raise InternalCheckError("kappa x e_row image is not a highest vector")
-        self._norm = norm
-
-    def _raw_apply(self, vec) -> list[Fraction]:
-        x = self._solver(vec)
-        if x is None:
-            raise InternalCheckError("product vector outside the summand basis")
-        return list(x[: self._target_dim])
-
-    def apply(self, vec) -> list[Fraction]:
-        return [x / self._norm for x in self._raw_apply(vec)]
-
-    def apply_to(self, t: int, module_vec) -> list[Fraction]:
-        """Image of module_vec x e_{t} (t 1-based)."""
-        m = self.m
-        vec = [Fraction(0)] * (self.source.dim * m)
-        for b, c in enumerate(module_vec):
-            vec[b * m + (t - 1)] = c
-        return self.apply(vec)
-
-
-@lru_cache(maxsize=None)
-def mult_map(a: Shape, row: int, m: int) -> MultMap:
-    return MultMap(rootsys.check_partition(a), row, m)
-
-
 def _side_constant(a: Shape, m: int, first_row: int, second_row: int,
                    fed_first: int, fed_second: int) -> Fraction | None:
     """kappa coefficient of m2(e_fed2 x m1(e_fed1 x kappa)) on one side,
-    or None when a step is invalid."""
+    or None when a step is invalid.  m1 and m2 are the equivariant
+    surjections (module) x C^m onto the module with a box added in
+    first_row, then in second_row, each normalized to send kappa x e_row
+    to kappa.
+
+    The constant is a two-step coefficient.  Each one-box step has
+    multiplicity one, so each normalized surjection is a scalar multiple
+    of the contravariant adjoint of the normalized one-box inclusion.
+    kappa alone spans its weight space, so the constant is one scalar
+    times the kappa x e_fed1 x e_fed2 coordinate of the composite
+    inclusion applied to the top vector.  Both read 1 at (fed1, fed2) =
+    (first_row, second_row), so the scalar is 1.  Any other (fed1, fed2)
+    has the wrong weight, and its constant is 0.
+    """
     if not box_addable(a, first_row, m):
         return None
-    a1 = add_box(a, first_row)
-    if not box_addable(a1, second_row, m):
+    if not box_addable(add_box(a, first_row), second_row, m):
         return None
-    m1 = mult_map(a, first_row, m)
-    m2 = mult_map(a1, second_row, m)
-    kappa0 = [Fraction(1 if i == 0 else 0) for i in range(m1.source.dim)]
-    mid = m1.apply_to(fed_first, kappa0)
-    out = m2.apply_to(fed_second, mid)
-    return out[0]
+    c_ij, c_ji = two_step_coefficients(a, (first_row, second_row), m)
+    if (fed_first, fed_second) == (first_row, second_row):
+        return c_ij
+    if (fed_first, fed_second) == (second_row, first_row):
+        return c_ji
+    return Fraction(0)
 
 
 def wedge_functionals(space: Space, w, boxes):

@@ -738,7 +738,9 @@ def rep_from_data(data) -> QuiverRep:
             (tuple(json_int(c) for c in v["weight"]), json_int(v["dim"]))
             for v in data["vertices"]
         ]
-        # each distinct entry text is parsed once
+        # each distinct entry text is parsed once; a non-string entry,
+        # which may be unhashable, goes straight to parse_ratio to be
+        # rejected
         entry = lru_cache(maxsize=None)(parse_ratio)
         arrows = []
         for a in data.get("arrows", []):
@@ -751,7 +753,10 @@ def rep_from_data(data) -> QuiverRep:
                     json_int(a["from"]),
                     json_int(a["to"]),
                     (json_int(i), json_int(j)),
-                    *_cleared([[entry(x) for x in row] for row in matrix]),
+                    *_cleared([
+                        [entry(x) if type(x) is str else parse_ratio(x) for x in row]
+                        for row in matrix
+                    ]),
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:

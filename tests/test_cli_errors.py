@@ -177,6 +177,8 @@ STRICT = {
     "entry_two_slashes": (_one_arrow_rep(1, [["1/2/3"]]), CHECK, 2),
     "entry_empty": (_one_arrow_rep(1, [[""]]), CHECK, 2),
     "entry_number": (_one_arrow_rep(1, [[1]]), CHECK, 2),
+    "entry_list": (_one_arrow_rep(1, [[[1]]]), CHECK, 2),
+    "entry_object": (_one_arrow_rep(1, [[{}]]), CHECK, 2),
     "character_value_float": (_character(value=1.5), WITNESS, 2),
     "character_scale_float": (_character(scale=1.5), WITNESS, 2),
     "character_missing_vertex": (_character(keep=1), WITNESS, 1),

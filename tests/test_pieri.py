@@ -1,18 +1,22 @@
+import hashlib
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quivercoh import linalg, pieri, rootsys
+from quivercoh import linalg, pieri, quiver, rootsys
 from quivercoh.errors import DomainError, InternalCheckError
-from quivercoh.linalg import matmul, matvec
+from quivercoh.linalg import Matrix, mat, matmul, matvec
 from quivercoh.pieri import (
+    PieriMatrix,
+    SchurRealization,
+    Shape,
+    _pieri_column,
     add_box,
     box_addable,
-    equivariance_residuals,
-    mult_map,
     p2_matrices,
     pieri_map,
     realize,
@@ -22,7 +26,7 @@ from quivercoh.pieri import (
     wedge_check,
 )
 
-from conftest import GR13, GR24, P2, P3
+from conftest import GR13, GR14, GR24, P2, P3, P4
 
 
 def partitions_up_to(total, max_parts):
@@ -367,6 +371,41 @@ class TestSSYT:
                 assert len(semistandard_tableaux(a, m)) == rootsys.weyl_dim(a, m)
 
 
+def product_op(real: SchurRealization, kind: str, i: int) -> Matrix:
+    """Generator action on (module) x C^m, for equivariance checks."""
+    m = real.m
+    base = real.op_matrix(kind, i)
+    dim = real.dim * m
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for b in range(real.dim):
+        for b2 in range(real.dim):
+            c = base[b2][b]
+            if c != 0:
+                for t in range(m):
+                    rows[b2 * m + t][b * m + t] += c
+    for b in range(real.dim):
+        if kind == "e":
+            rows[b * m + (i - 1)][b * m + i] += 1
+        elif kind == "f":
+            rows[b * m + i][b * m + (i - 1)] += 1
+        else:
+            rows[b * m + (i - 1)][b * m + (i - 1)] += 1
+            rows[b * m + i][b * m + i] += -1
+    return mat(rows)
+
+
+def equivariance_residuals(pm: PieriMatrix):
+    """Yield residual matrices of the intertwining identity for every
+    Chevalley generator (all must vanish)."""
+    source = realize(pm.source, pm.m)
+    target = realize(pm.target, pm.m)
+    for kind in ("e", "f"):
+        for i in range(1, pm.m):
+            lhs = matmul(pm.matrix, source.op_matrix(kind, i))
+            rhs = matmul(product_op(target, kind, i), pm.matrix)
+            yield linalg.madd(lhs, linalg.mneg(rhs))
+
+
 class TestPieriMap:
     def test_highest_column_normalized(self):
         pm = pieri_map((1,), 1, 2)
@@ -440,6 +479,88 @@ class TestTwoStep:
             two_step_coefficients((1, 1), (2, 1), 2)
 
 
+# The projection route to the side constants: the product-map solver,
+# the reference for pieri._side_constant, which reads them off the
+# two-step coefficients.
+
+
+class MultMap:
+    """The unique equivariant surjection (module a) x C^m onto the module
+    of a+box, normalized to send kappa x e_row to kappa."""
+
+    def __init__(self, a: Shape, row: int, m: int):
+        if not box_addable(a, row, m):
+            raise DomainError(f"cannot add a box in row {row} of {a}")
+        self.a = a
+        self.row = row
+        self.m = m
+        self.source = realize(a, m)
+        self.target_shape = add_box(a, row)
+        self.target = realize(self.target_shape, m)
+        real = self.source
+        self._target_dim = self.target.dim
+        # each summand's columns are its one-box map's, a scalar multiple
+        # of the lowered highest vector; the scalar cancels in apply
+        addable = [r for r in range(1, m + 1) if box_addable(a, r, m)]
+        columns = [
+            _pieri_column(a, r, m, j)
+            for r in [row] + [r for r in addable if r != row]
+            for j in range(realize(add_box(a, r), m).dim)
+        ]
+        dim = real.dim * m
+        if len(columns) != dim:
+            raise InternalCheckError("summand dimensions do not fill the product")
+        self._solver = linalg.Solver(linalg.transpose(columns))
+        kappa_vec = [Fraction(0)] * dim
+        kappa_vec[real.kappa * m + (row - 1)] = Fraction(1)
+        raw = self._raw_apply(kappa_vec)
+        norm = raw[self.target.kappa]
+        if norm == 0:
+            raise InternalCheckError("normalizing coefficient vanished in product map")
+        if any(x != 0 for k, x in enumerate(raw) if k != self.target.kappa):
+            raise InternalCheckError("kappa x e_row image is not a highest vector")
+        self._norm = norm
+
+    def _raw_apply(self, vec) -> list[Fraction]:
+        x = self._solver(vec)
+        if x is None:
+            raise InternalCheckError("product vector outside the summand basis")
+        return list(x[: self._target_dim])
+
+    def apply(self, vec) -> list[Fraction]:
+        return [x / self._norm for x in self._raw_apply(vec)]
+
+    def apply_to(self, t: int, module_vec) -> list[Fraction]:
+        """Image of module_vec x e_{t} (t 1-based)."""
+        m = self.m
+        vec = [Fraction(0)] * (self.source.dim * m)
+        for b, c in enumerate(module_vec):
+            vec[b * m + (t - 1)] = c
+        return self.apply(vec)
+
+
+@lru_cache(maxsize=None)
+def mult_map(a: Shape, row: int, m: int) -> MultMap:
+    return MultMap(rootsys.check_partition(a), row, m)
+
+
+def _reference_side_constant(a: Shape, m: int, first_row: int, second_row: int,
+                             fed_first: int, fed_second: int) -> Fraction | None:
+    """kappa coefficient of m2(e_fed2 x m1(e_fed1 x kappa)) on one side,
+    or None when a step is invalid."""
+    if not box_addable(a, first_row, m):
+        return None
+    a1 = add_box(a, first_row)
+    if not box_addable(a1, second_row, m):
+        return None
+    m1 = mult_map(a, first_row, m)
+    m2 = mult_map(a1, second_row, m)
+    kappa0 = [Fraction(1 if i == 0 else 0) for i in range(m1.source.dim)]
+    mid = m1.apply_to(fed_first, kappa0)
+    out = m2.apply_to(fed_second, mid)
+    return out[0]
+
+
 class TestMultMap:
     def test_kappa_route_is_identity_scale(self):
         mm = mult_map((1,), 1, 2)
@@ -464,6 +585,45 @@ class TestMultMap:
         scaled = tuple(tuple(x / composite[0][0] for x in row) for row in composite)
         assert scaled == linalg.identity(src.dim)
 
+    def test_side_constants_follow_the_projection_route(self):
+        # every a with at most 4 boxes, m <= 4 and rows (r1, r2) and fed
+        # rows (f1, f2) in 1..m: None off the addable pairs, and on them
+        # the kappa coefficient of m2(e_f2 x m1(e_f1 x kappa))
+        cases = 0
+        for m in range(1, 5):
+            for a in partitions_up_to(4, m):
+                for r1, r2, f1, f2 in itertools.product(range(1, m + 1), repeat=4):
+                    got = pieri._side_constant(a, m, r1, r2, f1, f2)
+                    assert got == _reference_side_constant(a, m, r1, r2, f1, f2)
+                    cases += got is not None
+        assert cases == 1584
+
+
+def _small_double_additions():
+    """Every double box addition from the twist-0 weight of each pair of
+    partitions with at most 3 boxes, on p:2, p:3, p:4, gr:1,3, gr:1,4
+    and gr:2,4."""
+    cases = []
+    for space in (P2, P3, P4, GR13, GR14, GR24):
+        for alpha in partitions_up_to(3, space.k + 1):
+            for beta in partitions_up_to(3, space.n - space.k):
+                w = rootsys.shape_to_weight(space, rootsys.BundleShape(alpha, beta, 0))
+                cases += [(space, w, boxes) for boxes in quiver.double_additions(space, w)]
+    return cases
+
+
+def _functionals_digest(cases) -> str:
+    h = hashlib.sha256()
+    for space, w, boxes in cases:
+        paths, wedges = pieri.wedge_functionals(space, w, boxes)
+        h.update(repr((space.k, space.n, w, boxes, paths, wedges)).encode())
+    return h.hexdigest()
+
+
+# _functionals_digest(_small_double_additions()), recorded with the side
+# constants computed through the product maps
+SMALL_FUNCTIONALS_SHA256 = "bdfa5f7d625f13bfe23ba3ff5d01b9351bb958195ff616b414c74a62ff7cc096"
+
 
 class TestVerifyRelationCoefficients:
     CASES = [
@@ -485,6 +645,13 @@ class TestVerifyRelationCoefficients:
     @pytest.mark.parametrize("space,w,boxes", CASES)
     def test_cases(self, space, w, boxes):
         assert verify_relation_coefficients(space, w, boxes)
+
+    def test_every_small_double_addition(self):
+        cases = _small_double_additions()
+        assert len(cases) == 1056
+        for space, w, boxes in cases:
+            assert verify_relation_coefficients(space, w, boxes)
+        assert _functionals_digest(cases) == SMALL_FUNCTIONALS_SHA256
 
     def test_i1_constants_are_the_displayed_ones(self):
         space, w, boxes = GR13, (1, -2, 1), ((1, 1), (2, 2))

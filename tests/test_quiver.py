@@ -480,6 +480,8 @@ class TestJson:
             ("1/2/3", "bad rational '1/2/3': too many values to unpack (expected 2)"),
             ("", "bad rational '': invalid literal for int() with base 10: ''"),
             (1, 'bad rational 1: expected a string such as "-1/2"'),
+            ([1], 'bad rational [1]: expected a string such as "-1/2"'),
+            ({}, 'bad rational {}: expected a string such as "-1/2"'),
         ],
     )
     def test_entry_reader_rejects_what_parse_frac_rejects(self, text, message):
