@@ -477,12 +477,13 @@ def two_step_coefficients(a: Shape, rows: tuple[int, int], m: int) -> tuple[Frac
 
 
 def _side_constant(a: Shape, m: int, first_row: int, second_row: int,
-                   fed_first: int, fed_second: int) -> Fraction | None:
+                   fed_first: int, fed_second: int, memo: dict | None = None) -> Fraction | None:
     """kappa coefficient of m2(e_fed2 x m1(e_fed1 x kappa)) on one side,
     or None when a step is invalid.  m1 and m2 are the equivariant
     surjections (module) x C^m onto the module with a box added in
     first_row, then in second_row, each normalized to send kappa x e_row
-    to kappa.
+    to kappa.  memo, when given, holds the two-step coefficients already
+    computed, keyed by (a, rows, m), and gains the ones computed here.
 
     The constant is a two-step coefficient.  Each one-box step has
     multiplicity one, so each normalized surjection is a scalar multiple
@@ -497,12 +498,16 @@ def _side_constant(a: Shape, m: int, first_row: int, second_row: int,
         return None
     if not box_addable(add_box(a, first_row), second_row, m):
         return None
-    c_ij, c_ji = two_step_coefficients(a, (first_row, second_row), m)
-    if (fed_first, fed_second) == (first_row, second_row):
-        return c_ij
-    if (fed_first, fed_second) == (second_row, first_row):
-        return c_ji
-    return Fraction(0)
+    rows, fed = (first_row, second_row), (fed_first, fed_second)
+    if fed != rows and fed != rows[::-1]:
+        return Fraction(0)
+    if memo is None:
+        memo = {}
+    key = (a, rows, m)
+    if key not in memo:
+        memo[key] = two_step_coefficients(a, rows, m)
+    c_ij, c_ji = memo[key]
+    return c_ij if fed == rows else c_ji
 
 
 def wedge_functionals(space: Space, w, boxes):
@@ -525,10 +530,12 @@ def wedge_functionals(space: Space, w, boxes):
         for qj in (q1, q2)
     })
 
+    memo = {}  # one two-step computation per (shape, rows, m) in this call
+
     def term(path, fed1, fed2):
         (pi, qj), (pl, qm) = path
-        ku = _side_constant(sh.alpha, mu, pi, pl, fed1[0], fed2[0])
-        kq = _side_constant(sh.beta, mq, qj, qm, fed1[1], fed2[1])
+        ku = _side_constant(sh.alpha, mu, pi, pl, fed1[0], fed2[0], memo)
+        kq = _side_constant(sh.beta, mq, qj, qm, fed1[1], fed2[1], memo)
         if ku is None or kq is None:
             return None
         return ku * kq

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError
@@ -350,6 +351,21 @@ def slope(space: Space, w) -> Fraction:
 
 def omega1_slope(space: Space) -> Fraction:
     return Fraction(-(space.n + 1), space.dim)
+
+
+def level(space: Space, w: Weight) -> int:
+    """(n + 1) times the pairing of w with the fundamental coweight of
+    the crossed node p: sum of c_i w_i with c_i = min(i, p)(n + 1 -
+    max(i, p)).  Every box weight is minus a run of simple roots holding
+    alpha_p once, so every quiver arrow lowers the level by exactly
+    n + 1.  Integer arithmetic, no validation."""
+    return sum(map(mul, _level_coefficients(space), w))
+
+
+@lru_cache(maxsize=None)
+def _level_coefficients(space: Space) -> tuple[int, ...]:
+    p, r = space.crossed, space.rank
+    return tuple(min(i, p) * (r + 1 - max(i, p)) for i in range(1, r + 1))
 
 
 def first_chern(space: Space, w) -> int:

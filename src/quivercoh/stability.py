@@ -17,6 +17,21 @@ relation Jacobian J.  That loses no rank: the relations are equivariant,
 so at a valid point J maps every orbit vector to u_tgt R - R u_src = 0,
 and a vector of ker J that vanishes at every free coordinate of an
 echelon basis vanishes at its pivots too, last pivot first.
+
+Both eliminations take a column order chosen from the rep once per
+call, to limit fill-in as sparse direct solvers do.  Every arrow lowers
+rootsys.level by n + 1, so ordering by level makes both systems block
+banded: a row of J touches the slots out of one relation's source and
+out of its middle vertices, a gauge row the blocks of one arrow's two
+ends, and these sit at neighbouring levels.  J's slot blocks go by
+ascending level of their source vertex, so slots further along the
+arrows come first; the gauge system's vertex blocks go by ascending
+level and, within a level, by ascending degree under the present arrows
+(the sum of the neighbours' dims, which bounds the nonzeros of each
+column in the block), so the sparsest columns of a level come first.
+No answer depends on the order: rank does not depend on column order,
+and the free-coordinate argument holds for an echelon basis in any
+column order, "last" read in that order.
 """
 
 from __future__ import annotations
@@ -184,9 +199,11 @@ def tangent_dim(rep: QuiverRep) -> int:
     if check_relations(rep, plan):
         raise DomainError("tangent space is computed at valid points only")
     dims = rep.dims()
-    offsets, width = slot_offsets(dims, plan.slots)
+    levels = [rootsys.level(rep.space, v.weight) for v in rep.vertices]
+    slots = [plan.slots[s] for s in _ascending([levels[i] for i, _ in plan.slots])]
+    offsets, width = slot_offsets(dims, slots)
     jacobian = SpanBasis(width)
-    for row, _ in relation_jacobian(rep, plan.slots, plan):
+    for row, _ in relation_jacobian(rep, slots, plan):
         jacobian.insert_ints(row)
     deformation = jacobian.width - jacobian.dim
 
@@ -201,13 +218,27 @@ def tangent_dim(rep: QuiverRep) -> int:
     return result
 
 
+def _ascending(keys) -> list[int]:
+    """Indices of keys in ascending key order, ties by index: the column
+    order of both eliminations in tangent_dim."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def _gauge_rank(rep: QuiverRep, plan: RelationPlan, offsets: dict, pivots: set[int]) -> int:
     """Rank of the gauge map u -> (u_dst A - A u_src) over the present
-    arrows, one row per slot coordinate outside pivots; the columns are
-    the vertex blocks of u, and offsets maps each slot to its first
-    coordinate, as slot_offsets lays them out."""
+    arrows, one row per slot coordinate outside pivots; offsets maps
+    each slot to its first coordinate, as slot_offsets lays them out.
+    The columns are the vertex blocks of u in ascending level, then
+    ascending degree, then index: a column of vertex v's block has at
+    most degree(v) nonzeros, so each level's sparsest columns are
+    eliminated first.  Any column order gives the same rank."""
     dims = rep.dims()
-    blocks, total = slot_offsets(dims, [(i, i) for i in range(len(dims))])
+    degree = [0] * len(dims)
+    for i, j in plan.arrows:
+        degree[i] += dims[j]
+        degree[j] += dims[i]
+    keys = [(rootsys.level(rep.space, v.weight), d) for v, d in zip(rep.vertices, degree)]
+    blocks, total = slot_offsets(dims, [(i, i) for i in _ascending(keys)])
     basis = SpanBasis(total)
     for (i, j), (m, _, _) in plan.arrows.items():
         du, dv = dims[i], dims[j]

@@ -653,6 +653,22 @@ class TestVerifyRelationCoefficients:
             assert verify_relation_coefficients(space, w, boxes)
         assert _functionals_digest(cases) == SMALL_FUNCTIONALS_SHA256
 
+    def test_each_two_step_coefficient_is_computed_once_per_check(self, monkeypatch):
+        # the side constants of one relation check share their two-step
+        # coefficients, so each (shape, rows, m) is computed once per call
+        calls = []
+        original = pieri.two_step_coefficients
+        monkeypatch.setattr(
+            pieri, "two_step_coefficients", lambda *key: calls.append(key) or original(*key)
+        )
+        total = 0
+        for space, w, boxes in self.CASES:
+            calls.clear()
+            pieri.wedge_functionals(space, w, boxes)
+            assert len(calls) == len(set(calls))
+            total += len(calls)
+        assert total
+
     def test_i1_constants_are_the_displayed_ones(self):
         space, w, boxes = GR13, (1, -2, 1), ((1, 1), (2, 2))
         paths, wedges = pieri.wedge_functionals(space, w, boxes)

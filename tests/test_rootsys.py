@@ -279,6 +279,15 @@ class TestSlope:
                     if rootsys.in_d1(space, shifted):
                         assert rootsys.slope(space, shifted) == rootsys.slope(space, w) + mu
 
+    @pytest.mark.parametrize("space", SPACES + [rootsys.space(0, 4)], ids=str)
+    def test_every_box_shift_lowers_the_level_by_n_plus_one(self, space):
+        # the grading behind tangent_dim's column orders
+        drop = space.n + 1
+        for w in itertools.islice(d1_weights(space, 2), 60):
+            for xi in rootsys.omega1_weights(space):
+                shifted = rootsys.wadd(w, xi)
+                assert rootsys.level(space, shifted) == rootsys.level(space, w) - drop
+
 
 class TestDualWeight:
     def test_line_bundle(self):

@@ -15,6 +15,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ("chamber_tables.py", ["p:2"]),
         ("random_complex_experiment.py", ["--space", "p:2", "--count", "2"]),
         ("moduli_family_scan.py", ["--samples", "2"]),
+        ("tangent_scale.py", ["--spaces", "p:2", "--count", "1", "--repeat", "1"]),
     ],
 )
 def test_script_runs_outside_the_repo(script, args, tmp_path):

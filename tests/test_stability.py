@@ -264,6 +264,27 @@ class TestTangent:
         assert capsys.readouterr().err.startswith("internal error: negative tangent dimension")
 
 
+@pytest.mark.parametrize("space", [P2, P3, GR13, GR14, rootsys.space(2, 5)], ids=str)
+@pytest.mark.parametrize("order", ["plain", "reversed"])
+def test_answer_does_not_depend_on_the_column_order(monkeypatch, space, order):
+    # rank does not depend on column order, and the free-coordinate
+    # argument holds for an echelon basis in any column order
+    calls = []
+
+    def ascending(keys):
+        calls.append(len(keys))
+        plain = list(range(len(keys)))
+        return plain if order == "plain" else plain[::-1]
+
+    monkeypatch.setattr(stability, "_ascending", ascending)
+    rng = random.Random(31 * space.n + space.k)
+    for max_dim in (1, 2, 3, 4, 5):
+        rep = _random_valid_rep(space, rng, max_dim)
+        assert stability.tangent_dim(rep) == _tangent_oracle(rep)
+    # both eliminations took their column order from the helper
+    assert len(calls) == 10
+
+
 @pytest.mark.parametrize("space", [P2, P3, GR13, GR14], ids=str)
 @pytest.mark.parametrize("isolated", [False, True])
 @pytest.mark.parametrize("drop_level", [False, True])
@@ -438,12 +459,15 @@ class TestEx73:
 
 # tangent_dim(random_rep(space, Random(seed), max_dim=3, max_vertices=12))
 # for seeds 0-4, recorded with the Fraction elimination the integer rows
-# replaced; the rank behind each value is exact, so it must not move.
+# replaced, and for (2, 5) with both eliminations in plain vertex and
+# plan column order; the rank behind each value is exact, so it must not
+# move.
 TANGENT_GOLDEN = {
     (0, 2): [0, 0, 0, 1, 1],
     (0, 3): [0, 0, 0, 1, 1],
     (1, 3): [4, 0, 0, 0, 0],
     (1, 4): [0, 1, 4, 1, 8],
+    (2, 5): [0, 11, 1, 1, 0],
 }
 
 
