@@ -4,10 +4,10 @@ For a valid representation, every nonsingular vertex contributes one
 irreducible module in one degree.  Between vertices in adjacent chambers
 carrying the same module, a differential acts: the product of the
 representation's arrow matrices along the straight segment joining them,
-with a sign.  Signs are chosen per space so that every square of the
-chamber adjacency graph anticommutes; the resulting sequence is a
-complex and its cohomology, degree by degree, is the cohomology of the
-bundle.
+with a sign.  The signs are read off each chamber's partition so that
+every square of the chamber adjacency graph anticommutes; the resulting
+sequence is a complex and its cohomology, degree by degree, is the
+cohomology of the bundle.
 
 The representation, weights included, is validated once, and each
 vertex's Bott data read off one eps pass.  One walk over the up-mirrors
@@ -26,11 +26,11 @@ from math import lcm
 from typing import NamedTuple
 
 from . import bott, linalg, rootsys
-from .bott import chamber_graph, chamber_key
+from .bott import chamber_graph
 from .errors import DomainError, InternalCheckError
 # matmul is not used here; the benchmark's tracer test checks that its
 # wrapper reaches every module binding it through this binding.
-from .linalg import Matrix, matmul, solve_gf2  # noqa: F401
+from .linalg import Matrix, matmul  # noqa: F401
 from .quiver import QuiverRep, RelationPlan, check_relations, relation_plan, segment_product
 from .rootsys import Space, Weight
 
@@ -80,40 +80,30 @@ def _checked_plan(rep: QuiverRep) -> RelationPlan:
 def _sign_table(space: Space, twist: frozenset = frozenset()) -> dict[tuple, int]:
     """A sign per degree-raising edge of the chamber adjacency graph such
     that every square multiplies to -1.  The optional twist flips all
-    edges at the named chambers, producing a second valid solution."""
+    edges at the named chambers, producing a second valid solution.
+
+    Each chamber is a partition lambda in a (k + 1) x (n - k) box:
+    lambda_p counts the second-block entries of e = eps(w + g) above
+    e[k + 1 - p].  An up-mirror with box (p, q) swaps e[k + 1 - p] with
+    the second-block entry just below it and so grows row p by one box,
+    leaving the other rows alone.  The edge's sign is (-1) to the number
+    of boxes of the source in the rows above p.  A square adds two boxes
+    in rows p1 < p2, in either order (two boxes in one row have a single
+    chamber between them): the p1 step reads the same rows above it both
+    ways, the p2 step reads one more box in exactly one order, so the
+    two paths differ by one sign."""
     weights, edges = chamber_graph(space)
-    keys = [chamber_key(space, w) for w in weights]
-    edge_index = {e: i for i, e in enumerate(edges)}
-    outgoing: dict[int, list[int]] = {}
-    for a, b in edges:
-        outgoing.setdefault(a, []).append(b)
-    equations = []
-    for a in outgoing:
-        targets: dict[int, list[int]] = {}
-        for b in outgoing[a]:
-            for c in outgoing.get(b, []):
-                targets.setdefault(c, []).append(b)
-        for c, mids in targets.items():
-            if len(mids) > 2:
-                raise InternalCheckError(
-                    f"{len(mids)} chambers between a pair in {space}"
-                )
-            if len(mids) == 2:
-                b1, b2 = mids
-                idxs = (
-                    edge_index[(a, b1)],
-                    edge_index[(b1, c)],
-                    edge_index[(a, b2)],
-                    edge_index[(b2, c)],
-                )
-                equations.append((idxs, 1))
-    solution = solve_gf2(equations, len(edges))
-    if solution is None:
-        raise InternalCheckError(f"sign system for {space} is inconsistent")
+    k = space.k
+    keys, shapes = [], []
+    for w in weights:
+        e = bott._shifted_eps(w)
+        keys.append(bott._chamber_of(e))
+        shapes.append([sum(x > e[k + 1 - p] for x in e[k + 1 :]) for p in range(1, k + 2)])
     table = {}
-    for (a, b), bit in zip(edges, solution):
-        flip = (1 if keys[a] in twist else 0) ^ (1 if keys[b] in twist else 0)
-        table[(keys[a], keys[b])] = -1 if (bit ^ flip) else 1
+    for a, b in edges:
+        row = next(p for p, (x, y) in enumerate(zip(shapes[a], shapes[b])) if x != y)
+        flip = (keys[a] in twist) != (keys[b] in twist)
+        table[(keys[a], keys[b])] = (-1) ** (sum(shapes[a][:row]) + flip)
     return table
 
 
@@ -273,12 +263,10 @@ def cohomology(rep: QuiverRep, gauge_twist: frozenset = frozenset()) -> Cohomolo
 
 def graded_table(rep: QuiverRep) -> CohomologyTable:
     """Cohomology of the associated graded bundle as a table."""
-    rows = []
-    for piece in graded_cohomology(rep):
-        mult = sum(dim for _, dim in piece.blocks)
-        rows.append(
-            TableRow(piece.degree, piece.nu, mult, rootsys.module_dim(rep.space, piece.nu))
-        )
+    rows = [
+        _row(rep.space, piece.degree, piece.nu, _dim(piece.blocks))
+        for piece in graded_cohomology(rep)
+    ]
     rows.sort(key=lambda r: (r.degree, r.nu))
     return CohomologyTable(rep.space, tuple(rows))
 

@@ -18,5 +18,6 @@ class ParseError(QuivercohError):
 
 
 class InternalCheckError(QuivercohError):
-    """A structural guarantee failed (inconsistent sign system, a built
-    differential with nonzero square, ...).  Signals a bug, not bad input."""
+    """A structural guarantee failed (a built differential with nonzero
+    square, a chamber vertex with nontrivial cohomology, ...).  Signals a
+    bug, not bad input."""

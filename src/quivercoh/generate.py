@@ -63,11 +63,8 @@ def random_rep(space, rng, max_dim=2, max_vertices=6) -> QuiverRep:
     support = random_support(space, rng, max_vertices=max_vertices)
     dims = {w: rng.randint(1, max_dim) for w in support}
     vertices = [(w, dims[w]) for w in support]
-    mu = rootsys.omega1_slope(space)
-    base_slope = rootsys.slope(space, support[0])
-    level = {
-        w: int((rootsys.slope(space, w) - base_slope) / mu) for w in support
-    }
+    base_level = rootsys.level(space, support[0])
+    level = {w: (base_level - rootsys.level(space, w)) // (space.n + 1) for w in support}
     arrows_by_level: dict[int, list[tuple]] = {}
     for w in support:
         for box, target in quiver.arrows_from(space, w):

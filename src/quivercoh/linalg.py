@@ -7,8 +7,7 @@ matrix's rows into one basis, rref back-reduces it, and nullspace and
 Solver read their answers off the reduced rows, scaled back to leading
 1s.  Sparse rows, {column: value} dicts such as the cohomology engine's
 integer differentials, are ranked as they are by row_rank, multiplied
-by row_product and made dense by dense.  solve_gf2 works apart, on
-bitsets over GF(2).
+by row_product and made dense by dense.
 """
 
 from __future__ import annotations
@@ -27,11 +26,6 @@ def frac(x) -> Fraction:
 
 def mat(rows) -> Matrix:
     return tuple(tuple(frac(x) for x in row) for row in rows)
-
-
-def zeros(nrows: int, ncols: int) -> Matrix:
-    z = Fraction(0)
-    return tuple(tuple(z for _ in range(ncols)) for _ in range(nrows))
 
 
 def identity(n: int) -> Matrix:
@@ -54,14 +48,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum((a[i][k] * bt[j][k] for k in range(ca)), Fraction(0)) for j in range(cb))
         for i in range(ra)
     )
-
-
-def madd(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mneg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -300,41 +286,3 @@ class Solver:
 def solve(a: Matrix, b) -> Vector | None:
     """One solution of a x = b (free coordinates zero), or None."""
     return Solver(a)(b)
-
-
-def solve_gf2(equations: list[tuple[tuple[int, ...], int]], nvars: int) -> list[int] | None:
-    """Solve a linear system over GF(2).
-
-    Each equation is (variable indices with coefficient 1, rhs bit).
-    Returns one solution with free variables set to 0, or None.
-    """
-    rows = []
-    for idxs, rhs in equations:
-        bits = 0
-        for i in idxs:
-            bits ^= 1 << i
-        rows.append([bits, rhs & 1])
-    pivots = []
-    r = 0
-    for c in range(nvars):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][0] >> c & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][0] >> c & 1:
-                rows[i][0] ^= rows[r][0]
-                rows[i][1] ^= rows[r][1]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][0] == 0 and rows[i][1]:
-            return None
-    x = [0] * nvars
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][1]
-    return x

@@ -1,6 +1,7 @@
 """Shared builders: named example representations, the seeded
-generators of quivercoh.generate, and an independent interval-splitting
-oracle for segment supports."""
+generators of quivercoh.generate, dense matrix helpers that only the
+tests use, and an independent interval-splitting oracle for segment
+supports."""
 
 from __future__ import annotations
 
@@ -27,6 +28,18 @@ P4 = rootsys.space(0, 4)
 GR13 = rootsys.space(1, 3)
 GR14 = rootsys.space(1, 4)
 GR24 = rootsys.space(2, 4)
+
+
+def zeros(nrows, ncols):
+    return tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows))
+
+
+def madd(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mneg(a):
+    return tuple(tuple(-x for x in row) for row in a)
 
 
 def zero_weight(space):
@@ -99,7 +112,7 @@ def interval_basis(rep: QuiverRep):
     for pos in range(n - 1):
         m = rep.arrow_matrix(chain[pos], chain[pos + 1])
         if m is None:
-            m = linalg.zeros(dims[pos + 1], dims[pos])
+            m = zeros(dims[pos + 1], dims[pos])
         maps.append(m)
 
     def composite(pos, upto):

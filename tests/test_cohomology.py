@@ -86,6 +86,34 @@ class TestBuildComplex:
         table = cohomology._sign_table(P3)
         assert all(v == 1 for v in table.values())
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_square_anticommutes(self, n):
+        """On every Gr(k, n), untwisted and twisted at one chamber: at most
+        two chambers lie between a pair at distance 2, and where there are
+        two, the four signs around the square multiply to -1."""
+        for k in range(n):
+            space = rootsys.space(k, n)
+            weights, edges = bott.chamber_graph(space)
+            keys = [chamber_key(space, w) for w in weights]
+            outgoing = {}
+            for a, b in edges:
+                outgoing.setdefault(a, []).append(b)
+            for twist in (frozenset(), frozenset({keys[len(keys) // 2]})):
+                signs = cohomology._sign_table(space, twist)
+                assert len(signs) == len(edges)
+                for a, mids in outgoing.items():
+                    between = {}
+                    for b in mids:
+                        for c in outgoing.get(b, []):
+                            between.setdefault(c, []).append(b)
+                    for c, path in between.items():
+                        assert len(path) <= 2, (space, a, c)
+                        if len(path) == 2:
+                            product = 1
+                            for b in path:
+                                product *= signs[(keys[a], keys[b])] * signs[(keys[b], keys[c])]
+                            assert product == -1, (space, twist, a, c)
+
     def test_missing_intermediate_vertex_zeroes_composite(self):
         rep = quiver.make_rep(
             P2,

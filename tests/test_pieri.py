@@ -26,7 +26,7 @@ from quivercoh.pieri import (
     wedge_check,
 )
 
-from conftest import GR13, GR14, GR24, P2, P3, P4
+from conftest import GR13, GR14, GR24, P2, P3, P4, madd, mneg
 
 
 def partitions_up_to(total, max_parts):
@@ -78,7 +78,7 @@ class TestRealize:
         real = realize(a, m)
         for i in range(1, m):
             e, f, h = real.e(i), real.f(i), real.h(i)
-            bracket = linalg.madd(matmul(e, f), linalg.mneg(matmul(f, e)))
+            bracket = madd(matmul(e, f), mneg(matmul(f, e)))
             assert bracket == h
             # h is diagonal on the chosen basis
             for r in range(real.dim):
@@ -403,7 +403,7 @@ def equivariance_residuals(pm: PieriMatrix):
         for i in range(1, pm.m):
             lhs = matmul(pm.matrix, source.op_matrix(kind, i))
             rhs = matmul(product_op(target, kind, i), pm.matrix)
-            yield linalg.madd(lhs, linalg.mneg(rhs))
+            yield madd(lhs, mneg(rhs))
 
 
 class TestPieriMap:

@@ -26,6 +26,7 @@ from conftest import (
     generic_ex73_rep,
     random_rep,
     zero_weight,
+    zeros,
 )
 from test_rootsys import d1_weights
 
@@ -221,7 +222,7 @@ def _path_product(rep, src, first, second):
         return None
     m1, m2 = rep.arrow_matrix(src, mid), rep.arrow_matrix(mid, end)
     if m1 is None or m2 is None:
-        return linalg.zeros(rep.vertices[end].dim, rep.vertices[src].dim)
+        return zeros(rep.vertices[end].dim, rep.vertices[src].dim)
     return matmul(m2, m1)
 
 
@@ -243,7 +244,7 @@ def _squares_commute(rep):
                 continue
             one = _path_product(rep, src, b1, b2)
             two = _path_product(rep, src, b2, b1)
-            zero = linalg.zeros(rep.vertices[tgt].dim, v.dim)
+            zero = zeros(rep.vertices[tgt].dim, v.dim)
             one = one if one is not None else zero
             two = two if two is not None else zero
             if one != two:

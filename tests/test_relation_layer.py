@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from quivercoh import quiver, rootsys
 from quivercoh.errors import DomainError, ParseError
 from quivercoh.generate import random_rep
-from quivercoh.linalg import madd, mat, zeros
+from quivercoh.linalg import mat
 
-from conftest import GR13, GR14, P2, P3
+from conftest import GR13, GR14, P2, P3, madd, zeros
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
