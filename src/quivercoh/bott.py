@@ -17,9 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import rootsys
+from . import linalg, rootsys
 from .errors import DomainError, InternalCheckError
-from .linalg import det, mat
 from .rootsys import Space, Weight
 
 
@@ -180,10 +179,10 @@ def hasse_degree(space: Space) -> int:
 def components_count(cartan) -> int:
     """Number of connected components of the quiver of a space with the
     given integer Cartan matrix: the absolute value of its determinant."""
-    rows = mat(cartan)
+    rows = linalg.mat(cartan)
     if any(len(r) != len(rows) for r in rows):
         raise DomainError("Cartan matrix must be square")
-    return abs(int(det(rows)))
+    return abs(int(linalg.det(rows)))
 
 
 def cartan_matrix(letter: str, rank: int) -> list[list[int]]:

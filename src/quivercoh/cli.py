@@ -7,20 +7,20 @@ All output is deterministic; --json switches to machine form.
 
 Exit codes: 0 success, 1 domain errors (relation violations, weights
 outside D_1 where required), 2 parse or shape errors, 3 internal errors
-(a failed structural check: a bug, not bad input).
+(a failed structural check: a bug, not bad input), 141 when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from fractions import Fraction
 
 from . import bott, cohomology, pieri, quiver, rootsys, stability
 from .errors import DomainError, InternalCheckError, ParseError
-from .quiver import frac_str, json_int, parse_frac
 from .rootsys import BundleShape, Space
 
 
@@ -224,7 +224,7 @@ def cmd_components(args) -> int:
     if args.matrix:
         matrix = _parse_matrix(args.matrix)
     else:
-        if not args.type or not args.rank:
+        if not args.type or args.rank is None:
             raise ParseError("need --type and --rank, or --matrix")
         matrix = bott.cartan_matrix(args.type, args.rank)
     value = bott.components_count(matrix)
@@ -255,7 +255,7 @@ def cmd_check(args) -> int:
             {
                 "source": list(v.source),
                 "target": list(v.target),
-                "residual": [[frac_str(x) for x in row] for row in v.residual],
+                "residual": [[quiver.frac_str(x) for x in row] for row in v.residual],
             }
             for v in violations
         ],
@@ -312,12 +312,12 @@ def _character_for(args, rep) -> stability.Character:
     def convert(data):
         sigma = tuple(
             (
-                tuple(json_int(c) for c in entry["weight"]),
-                json_int(entry["value"]),
+                tuple(quiver.json_int(c) for c in entry["weight"]),
+                quiver.json_int(entry["value"]),
             )
             for entry in data["sigma"]
         )
-        return stability.Character(sigma, json_int(data.get("scale", 1)))
+        return stability.Character(sigma, quiver.json_int(data.get("scale", 1)))
 
     return _read_json(source, "character", convert)
 
@@ -343,7 +343,7 @@ def cmd_stability(args) -> int:
             args.witness,
             "witness",
             lambda data: [
-                [[parse_frac(x) for x in vec] for vec in vertex_spans]
+                [[quiver.parse_frac(x) for x in vec] for vec in vertex_spans]
                 for vertex_spans in data["spans"]
             ],
         )
@@ -374,14 +374,15 @@ def cmd_stability(args) -> int:
         return 0
     if sub == "ex73":
         report = stability.ex73_invariants(rep)
+        s, t = quiver.frac_str(report.s), quiver.frac_str(report.t)
         payload = {
-            "S": frac_str(report.s),
-            "T": frac_str(report.t),
+            "S": s,
+            "T": t,
             "branch": report.branch,
             "middle_destabilized": report.middle_destabilized,
         }
         human = (
-            f"S = {frac_str(report.s)}, T = {frac_str(report.t)}, "
+            f"S = {s}, T = {t}, "
             f"branch {report.branch}"
             + (", middle row destabilizes" if report.middle_destabilized else "")
         )
@@ -397,9 +398,8 @@ def cmd_oracle(args) -> int:
         rows = _ints(args.rows, "rows")
         if len(rows) != 2:
             raise ParseError("rows must be i,j")
-        c_ij, c_ji = pieri.two_step_coefficients(a, rows, args.m)
-        payload = {"c_ij": frac_str(c_ij), "c_ji": frac_str(c_ji)}
-        _emit(args, payload, f"c_ij = {frac_str(c_ij)}, c_ji = {frac_str(c_ji)}")
+        c_ij, c_ji = map(quiver.frac_str, pieri.two_step_coefficients(a, rows, args.m))
+        _emit(args, {"c_ij": c_ij, "c_ji": c_ji}, f"c_ij = {c_ij}, c_ji = {c_ji}")
         return 0
     if sub == "relations":
         space = parse_space(args.space)
@@ -419,7 +419,7 @@ def cmd_oracle(args) -> int:
                         {
                             "first": list(f),
                             "second": list(s),
-                            "coefficient": frac_str(c),
+                            "coefficient": quiver.frac_str(c),
                         }
                         for f, s, c in eq.terms
                     ],
@@ -430,7 +430,7 @@ def cmd_oracle(args) -> int:
         lines = [f"verified: {ok}"]
         for eq in equations:
             terms = " + ".join(
-                f"({frac_str(c)}) g[{s}]g[{f}]" for f, s, c in eq.terms
+                f"({quiver.frac_str(c)}) g[{s}]g[{f}]" for f, s, c in eq.terms
             )
             lines.append(f"0 = {terms}")
         _emit(args, payload, "\n".join(lines))
@@ -443,7 +443,7 @@ def cmd_oracle(args) -> int:
         def ext_str(e):
             names = ["", "x", "y", "x^y"]
             terms = [
-                (f"{frac_str(c)}" + (f"*{n}" if n else ""))
+                (f"{quiver.frac_str(c)}" + (f"*{n}" if n else ""))
                 for c, n in zip(e, names)
                 if c != 0
             ]
@@ -552,8 +552,22 @@ def _join_flag_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    try:
+        try:
+            return _run(list(argv))
+        finally:  # also when --help leaves through SystemExit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (as in `| head -1`): send what is
+        # still buffered to /dev/null so the flush at exit stays quiet,
+        # and exit as a process killed by SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _run(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_flag_values(list(argv)))
+    args = parser.parse_args(_join_flag_values(argv))
     try:
         return args.fn(args)
     except ParseError as exc:

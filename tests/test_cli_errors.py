@@ -41,6 +41,8 @@ CASES = {
     "matrix_float": (["components", "--matrix", "[[0.5]]"], 2),
     "matrix_bool": (["components", "--matrix", "[[true]]"], 2),
     "matrix_ragged": (["components", "--matrix", "[[1], [1, 2]]"], 1),
+    "rank_zero": (["components", "--type", "A", "--rank", "0"], 1),
+    "rank_negative": (["components", "--type", "A", "--rank", "-1"], 1),
     "twostep_no_rows": (["oracle", "twostep", "--partition", "2,1", "--m", "3"], 2),
     "twostep_one_row": (["oracle", "twostep", "--rows", "1"], 2),
     "relations_no_space": (["oracle", "relations", "--boxes", "1,1,2,2"], 2),
@@ -76,6 +78,38 @@ def test_rejected_in_a_process_without_traceback(workdir):
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+CHAMBERS = ["chambers", "--space", "gr:1,3"]
+
+
+@pytest.mark.parametrize(
+    "unbuffered, argv", [(True, CHAMBERS), (False, CHAMBERS), (False, ["--help"])]
+)
+def test_closed_pipe_exits_141_without_traceback(unbuffered, argv):
+    # a reader that stops early (as in `| head -1`) closes the pipe; the
+    # CLI exits as on SIGPIPE, whether the write or the flush at exit
+    # fails (an unbuffered --help is left out: argparse ignores its own
+    # failed write and exits 0)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivercoh.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_internal_error_exits_3(workdir, monkeypatch, capsys):
