@@ -119,58 +119,61 @@ def _mirrors_of(space: Space, e: list[int]) -> list[Mirror]:
 
 
 @lru_cache(maxsize=None)
+def _chamber_walk(
+    space: Space,
+) -> tuple[tuple[tuple[Weight, int], ...], tuple[tuple[int, int], ...]]:
+    """The closure of zero under mirrors: every chamber vertex with its
+    degree, sorted by degree, then lexicographically, and the
+    degree-raising edges as sorted index pairs into that order.  Each
+    vertex's eps is read once for its Bott value and its mirrors."""
+    zero = (0,) * space.rank
+    degree, up = {}, []
+    queue = [zero]
+    while queue:
+        w = queue.pop()
+        if w in degree:
+            continue
+        e = _shifted_eps(w)
+        value = _bott_of(e)
+        if value is None or value.nu != zero:
+            raise InternalCheckError(f"chamber vertex {w} has cohomology {value}")
+        degree[w] = value.degree
+        for m in _mirrors_of(space, e):
+            if m.up:
+                up.append((w, m.target))
+            queue.append(m.target)
+    verts = tuple(sorted(degree.items(), key=lambda wd: (wd[1], wd[0])))
+    index = {w: i for i, (w, _) in enumerate(verts)}
+    return verts, tuple(sorted((index[a], index[b]) for a, b in up))
+
+
 def chamber_vertices(space: Space) -> tuple[tuple[Weight, int], ...]:
     """All weights whose cohomology is the trivial module, with their
     degrees: one per Bott chamber, found by closure under mirrors
     starting from zero.  Sorted by degree, then lexicographically."""
-    zero = (0,) * space.rank
-    seen = {zero}
-    queue = [zero]
-    while queue:
-        w = queue.pop()
-        for m in mirrors(space, w):
-            if m.target not in seen:
-                seen.add(m.target)
-                queue.append(m.target)
-    verts = []
-    for w in seen:
-        value = bott(space, w)
-        if value is None or value.nu != zero:
-            raise InternalCheckError(f"chamber vertex {w} has cohomology {value}")
-        verts.append((w, value.degree))
-    verts.sort(key=lambda vw: (vw[1], vw[0]))
-    return tuple(verts)
+    return _chamber_walk(space)[0]
 
 
 @lru_cache(maxsize=None)
 def chamber_graph(space: Space) -> tuple[tuple[Weight, ...], tuple[tuple[int, int], ...]]:
     """Chamber adjacency: vertex weights and degree-raising edges
     (indices into the vertex tuple)."""
-    verts = chamber_vertices(space)
-    index = {w: i for i, (w, _) in enumerate(verts)}
-    edges = []
-    for w, _ in verts:
-        for m in mirrors(space, w):
-            if m.up:
-                edges.append((index[w], index[m.target]))
-    return tuple(w for w, _ in verts), tuple(sorted(set(edges)))
+    verts, edges = _chamber_walk(space)
+    return tuple(w for w, _ in verts), edges
 
 
 def hasse_degree(space: Space) -> int:
     """Number of maximal chains in the chamber adjacency graph: the
-    degree of the minimal homogeneous embedding."""
-    verts = chamber_vertices(space)
-    weights, edges = chamber_graph(space)
-    degree = {w: d for w, d in verts}
-    paths = {i: 0 for i in range(len(weights))}
-    for i, w in enumerate(weights):
-        if degree[w] == 0:
-            paths[i] = 1
-    for i in sorted(range(len(weights)), key=lambda i: degree[weights[i]]):
-        for a, b in edges:
-            if a == i:
-                paths[b] += paths[i]
-    top = [i for i, w in enumerate(weights) if degree[w] == space.dim]
+    degree of the minimal homogeneous embedding.
+
+    One pass over the sorted edges: the vertices go by degree and every
+    edge raises it, so all paths into a chamber are counted before the
+    first edge out of it is read."""
+    verts, edges = _chamber_walk(space)
+    paths = [int(d == 0) for _, d in verts]
+    for a, b in edges:
+        paths[b] += paths[a]
+    top = [i for i, (_, d) in enumerate(verts) if d == space.dim]
     if len(top) != 1:
         raise InternalCheckError(f"{len(top)} chambers of top degree {space.dim}")
     return paths[top[0]]

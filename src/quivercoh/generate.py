@@ -77,7 +77,8 @@ def random_rep(space, rng, max_dim=2, max_vertices=6) -> QuiverRep:
         slots = arrows_by_level[lv]
         partial = make_rep(space, vertices, arrows)
         index = partial.vertex_index
-        jacobian = SpanBasis(sum(dims[target] * dims[w] for w, _, target in slots))
+        offsets, width = quiver.slot_offsets(dims, [(w, target) for w, _, target in slots])
+        jacobian = SpanBasis(width)
         for row, _ in quiver.relation_jacobian(
             partial, [(index(w), index(target)) for w, _, target in slots]
         ):
@@ -87,14 +88,12 @@ def random_rep(space, rng, max_dim=2, max_vertices=6) -> QuiverRep:
             c = _rand_frac(rng)
             if c:
                 flat = [a + c * b for a, b in zip(flat, vec)]
-        off = 0
         for w, box, target in slots:
-            nrows, ncols = dims[target], dims[w]
+            off, ncols = offsets[(w, target)], dims[w]
             entries = [
                 [flat[off + r * ncols + c] for c in range(ncols)]
-                for r in range(nrows)
+                for r in range(dims[target])
             ]
-            off += nrows * ncols
             if any(x != 0 for row in entries for x in row):
                 arrows.append((w, box, entries))
     return make_rep(space, vertices, arrows)

@@ -331,22 +331,18 @@ def add_box(part: tuple[int, ...], row: int) -> tuple[int, ...]:
     return check_partition(padded)
 
 
-def shape_rank(space: Space, sh: BundleShape) -> int:
-    return weyl_dim(sh.alpha, space.k + 1) * weyl_dim(sh.beta, space.n - space.k)
-
-
 def bundle_rank(space: Space, w) -> int:
-    return shape_rank(space, weight_to_shape(space, w))
+    """Rank of the bundle: the Weyl dimensions of its two shapes.  A full
+    column changes no Weyl dimension, so the rows need no canonical form."""
+    alpha, beta = shape_rows(space, require_d1(space, w))
+    return weyl_dim(alpha, space.k + 1) * weyl_dim(beta, space.n - space.k)
 
 
 def slope(space: Space, w) -> Fraction:
-    """First Chern class over rank; additive in the coordinates of w."""
-    sh = weight_to_shape(space, w)
-    return (
-        Fraction(sh.t)
-        - Fraction(sum(sh.alpha), space.k + 1)
-        - Fraction(sum(sh.beta), space.n - space.k)
-    )
+    """First Chern class over rank: the level over the dimension.  Both
+    are linear in w and take -(n + 1) / dim on every box weight, and the
+    box weights span the weight space."""
+    return Fraction(level(space, require_d1(space, w)), space.dim)
 
 
 def omega1_slope(space: Space) -> Fraction:
@@ -405,27 +401,12 @@ def component_class(space: Space, w) -> int:
     return sum((i + 1) * c for i, c in enumerate(w)) % m
 
 
-def dominant(w) -> bool:
-    return all(c >= 0 for c in w)
-
-
-def weight_partition(w) -> tuple[int, ...]:
-    """Young diagram rows of a dominant weight (suffix sums)."""
-    if not dominant(w):
-        raise DomainError(f"weight {w} is not dominant")
-    n = len(w)
-    rows = []
-    total = 0
-    for i in range(n - 1, -1, -1):
-        total += w[i]
-        rows.append(total)
-    return tuple(reversed(rows))
-
-
 def module_dim(space: Space, nu) -> int:
     """Dimension of the irreducible SL(n+1) module with highest weight nu."""
     nu = check_weight(space, nu)
-    return weyl_dim(weight_partition(nu), space.rank + 1)
+    if any(c < 0 for c in nu):
+        raise DomainError(f"weight {nu} is not dominant")
+    return weyl_dim(to_eps(space, nu), space.rank + 1)
 
 
 @lru_cache(maxsize=None)

@@ -37,7 +37,6 @@ column order, "last" read in that order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from . import linalg, rootsys
@@ -73,19 +72,17 @@ class Character(NamedTuple):
 
 def canonical_character(rep: QuiverRep) -> Character:
     """sigma_v = c1(F) rk(E_v) - rk(F) c1(E_v) for F the whole graded
-    bundle.  Both terms are integers on these spaces; if a denominator
-    ever appeared it would be cleared and recorded in scale."""
+    bundle.  Both terms are integers on these spaces, so scale is 1."""
     space = rep.space
     ranks = [rootsys.bundle_rank(space, v.weight) for v in rep.vertices]
-    chern = [Fraction(rootsys.first_chern(space, v.weight)) for v in rep.vertices]
+    chern = [rootsys.first_chern(space, v.weight) for v in rep.vertices]
     rk_total = sum(r * v.dim for r, v in zip(ranks, rep.vertices))
     c1_total = sum(c * v.dim for c, v in zip(chern, rep.vertices))
-    values = [c1_total * r - rk_total * c for r, c in zip(ranks, chern)]
-    denom = lcm(*(x.denominator for x in values))
     sigma = tuple(
-        (v.weight, int(x * denom)) for v, x in zip(rep.vertices, values)
+        (v.weight, c1_total * r - rk_total * c)
+        for v, r, c in zip(rep.vertices, ranks, chern)
     )
-    return Character(sigma, denom)
+    return Character(sigma, 1)
 
 
 def pairing(ch: Character, subdims: dict) -> int:
@@ -207,7 +204,7 @@ def tangent_dim(rep: QuiverRep) -> int:
         jacobian.insert_ints(row)
     deformation = jacobian.width - jacobian.dim
 
-    gauge = _gauge_rank(rep, plan, offsets, set(jacobian.pivots))
+    gauge = _gauge_rank(rep, plan, levels, offsets, set(jacobian.pivots))
     end_dim = sum(d * d for d in dims) - gauge
     result = deformation - gauge
     if result < 0:
@@ -224,10 +221,13 @@ def _ascending(keys) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def _gauge_rank(rep: QuiverRep, plan: RelationPlan, offsets: dict, pivots: set[int]) -> int:
+def _gauge_rank(
+    rep: QuiverRep, plan: RelationPlan, levels: list[int], offsets: dict, pivots: set[int]
+) -> int:
     """Rank of the gauge map u -> (u_dst A - A u_src) over the present
-    arrows, one row per slot coordinate outside pivots; offsets maps
-    each slot to its first coordinate, as slot_offsets lays them out.
+    arrows, one row per slot coordinate outside pivots; levels holds each
+    vertex's rootsys.level, and offsets maps each slot to its first
+    coordinate, as slot_offsets lays them out.
     The columns are the vertex blocks of u in ascending level, then
     ascending degree, then index: a column of vertex v's block has at
     most degree(v) nonzeros, so each level's sparsest columns are
@@ -237,7 +237,7 @@ def _gauge_rank(rep: QuiverRep, plan: RelationPlan, offsets: dict, pivots: set[i
     for i, j in plan.arrows:
         degree[i] += dims[j]
         degree[j] += dims[i]
-    keys = [(rootsys.level(rep.space, v.weight), d) for v, d in zip(rep.vertices, degree)]
+    keys = list(zip(levels, degree))
     blocks, total = slot_offsets(dims, [(i, i) for i in _ascending(keys)])
     basis = SpanBasis(total)
     for (i, j), (m, _, _) in plan.arrows.items():
@@ -269,7 +269,9 @@ class Ex73Report(NamedTuple):
 def ex73_invariants(rep: QuiverRep) -> Ex73Report:
     """Evaluate the two generating invariants of the family and classify
     the point.  The middle row destabilizes exactly when the image of the
-    incoming rank-one map meets the kernel of the outgoing one."""
+    incoming rank-one map meets the kernel of the outgoing one.  A rep
+    outside the family, with an outer multiplicity other than 1 or a
+    failing relation, is a DomainError."""
     space = rep.space
     if space.k != 0 or space.n != 2:
         raise DomainError("this family lives on the projective plane")
@@ -288,6 +290,11 @@ def ex73_invariants(rep: QuiverRep) -> Ex73Report:
         idx[name] = i
     if rep.vertices[idx["middle"]].dim != 2:
         raise DomainError("middle multiplicity must be 2")
+    for name, i in idx.items():
+        if name != "middle" and rep.vertices[i].dim != 1:
+            raise DomainError(f"{name} multiplicity must be 1")
+    if check_relations(rep):
+        raise DomainError("the invariants are computed at valid points only")
 
     def arrow(src, dst):
         m = rep.arrow_matrix(idx[src], idx[dst])

@@ -101,6 +101,23 @@ def generic_ex73_rep():
     return ex73_rep([[1], [2]], [[1], [3]], [[1, 1]], [[2, 1]])
 
 
+def rescaled_ex73_rep():
+    """generic_ex73_rep with its outer arrow O -> Q(-2) doubled, so one
+    square relation fails."""
+    rep = generic_ex73_rep()
+    arrows = [
+        (
+            rep.vertices[a.src].weight,
+            a.box,
+            [[2 * x for x in row] for row in a.matrix]
+            if rep.vertices[a.src].weight == (0, 0)
+            else a.matrix,
+        )
+        for a in rep.arrows
+    ]
+    return make_rep(P2, [(v.weight, v.dim) for v in rep.vertices], arrows)
+
+
 def interval_basis(rep: QuiverRep):
     """Independent interval splitting of a segment representation: list
     of (birth, death, vectors-per-position), built by the adapted-basis

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivercoh import bott, rootsys
+from quivercoh import bott, cohomology, rootsys
 from quivercoh.bott import BottValue
 from quivercoh.errors import DomainError
 
@@ -156,8 +158,6 @@ class TestChambers:
             assert sorted(d for _, d in verts) == list(range(n + 1))
 
     def test_count_is_euler_characteristic(self):
-        import math
-
         for k, n in [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]:
             space = rootsys.space(k, n)
             assert len(bott.chamber_vertices(space)) == math.comb(n + 1, k + 1)
@@ -238,6 +238,29 @@ class TestHasse:
 
     def test_gr14(self):
         assert bott.hasse_degree(GR14) == 5
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_standard_tableaux_of_the_rectangle(self, n):
+        # independent oracle: maximal chains of the (k + 1) x (n - k) box
+        # are its standard tableaux, counted by the hook length formula
+        for k in range(n):
+            rows, cols = k + 1, n - k
+            hooks = math.prod(i + j + 1 for i in range(rows) for j in range(cols))
+            assert bott.hasse_degree(rootsys.space(k, n)) == math.factorial(rows * cols) // hooks
+
+
+def test_chamber_layer_digest():
+    # vertices, edges, chain counts and signs for every Gr(k, n) with
+    # n <= 9, pinned before the chamber walk was merged into one pass
+    h = hashlib.sha256()
+    for n in range(1, 10):
+        for k in range(n):
+            space = rootsys.space(k, n)
+            h.update(repr(bott.chamber_vertices(space)).encode())
+            h.update(repr(bott.chamber_graph(space)).encode())
+            h.update(repr(bott.hasse_degree(space)).encode())
+            h.update(repr(sorted(cohomology._sign_table(space).items())).encode())
+    assert h.hexdigest() == "5cd9211bbbebb2eae8d622aba877079ed2d5e56827b43c66d848037b06a1a9d6"
 
 
 class TestComponents:

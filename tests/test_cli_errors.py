@@ -14,7 +14,7 @@ from quivercoh import cohomology, quiver, rootsys, stability
 from quivercoh.cli import main
 from quivercoh.errors import InternalCheckError
 
-from conftest import P2, dual_euler_rep
+from conftest import P2, dual_euler_rep, rescaled_ex73_rep
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -165,8 +165,9 @@ CHECK = ["check", "--rep", "input.json"]
 WITNESS = ["stability", "witness", "--rep", "rep.json", "--witness", "w.json"]
 WITNESS += ["--character", "input.json"]
 
-# rep and character files whose numbers are not JSON integers, and a
-# character missing a vertex: (file text, argv, exit code)
+# rep and character files whose numbers are not JSON integers, a
+# character missing a vertex, and a rep outside the ex73 family:
+# (file text, argv, exit code)
 STRICT = {
     "dim_true": (
         _rep_variant(lambda d: d["vertices"][0].update(dim=True)),
@@ -216,6 +217,11 @@ STRICT = {
     "character_value_float": (_character(value=1.5), WITNESS, 2),
     "character_scale_float": (_character(scale=1.5), WITNESS, 2),
     "character_missing_vertex": (_character(keep=1), WITNESS, 1),
+    "ex73_relation_fails": (
+        quiver.rep_to_json(rescaled_ex73_rep()),
+        ["stability", "ex73", "--rep", "input.json"],
+        1,
+    ),
 }
 
 

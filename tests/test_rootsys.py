@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,24 @@ class TestSlope:
             omega = rootsys.box_weight(space, 1, 1)
             assert rootsys.slope(space, omega) == Fraction(-(n + 1), n)
             assert rootsys.omega1_slope(space) == Fraction(-(n + 1), n)
+
+    @pytest.mark.parametrize("space", SPACES, ids=str)
+    def test_level_over_dim_and_shape_formula(self, space):
+        # slope = level / dim, and = t - |alpha| / (k + 1) - |beta| / (n - k)
+        rng = random.Random(7)
+        for _ in range(200):
+            w = tuple(
+                rng.randint(-6, 6) if i == space.k else rng.randint(0, 4)
+                for i in range(space.rank)
+            )
+            sh = rootsys.weight_to_shape(space, w)
+            by_shape = (
+                sh.t
+                - Fraction(sum(sh.alpha), space.k + 1)
+                - Fraction(sum(sh.beta), space.n - space.k)
+            )
+            assert rootsys.slope(space, w) == Fraction(rootsys.level(space, w), space.dim)
+            assert rootsys.slope(space, w) == by_shape
 
     def test_levelled(self):
         # adding any cotangent weight shifts the slope by the cotangent slope

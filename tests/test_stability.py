@@ -22,6 +22,7 @@ from conftest import (
     ex73_rep,
     generic_ex73_rep,
     random_segment_rep,
+    rescaled_ex73_rep,
     segment_rep,
     terminal_witnesses,
 )
@@ -254,7 +255,7 @@ class TestTangent:
     def test_negative_dimension_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
         # the gauge rank is at most the number of free coordinates it is
         # read at, so only a broken _gauge_rank can make the result negative
-        monkeypatch.setattr(stability, "_gauge_rank", lambda rep, plan, offsets, pivots: 10**6)
+        monkeypatch.setattr(stability, "_gauge_rank", lambda *args: 10**6)
         rep = generic_ex73_rep()
         with pytest.raises(InternalCheckError, match="negative tangent dimension"):
             stability.tangent_dim(rep)
@@ -411,6 +412,29 @@ class TestEx73:
         assert report.branch == "generic"
         assert report.s != report.t
         assert not report.middle_destabilized
+
+    def test_outer_multiplicity_other_than_one_rejected(self):
+        # top_in of dim 2 and two failing relations once read as s = 0, t = 1
+        rep = quiver.make_rep(
+            P2,
+            [((0, 0), 1), ((1, 1), 2), ((-2, 1), 1), ((-1, 2), 2), ((0, 3), 1),
+             ((-3, 3), 1), ((-2, 4), 1)],
+            [
+                ((1, 1), (1, 1), [[1, 0], [0, 1]]),
+                ((0, 3), (1, 2), [[1], [1]]),
+                ((-1, 2), (1, 1), [[1, 0]]),
+                ((-1, 2), (1, 2), [[0, 1]]),
+            ],
+        )
+        assert len(quiver.check_relations(rep)) == 2
+        with pytest.raises(DomainError, match="top_in multiplicity must be 1"):
+            stability.ex73_invariants(rep)
+
+    def test_failing_relation_rejected(self):
+        rep = rescaled_ex73_rep()
+        assert quiver.check_relations(rep)
+        with pytest.raises(DomainError, match="valid points only"):
+            stability.ex73_invariants(rep)
 
     def test_s_zero_branch(self):
         # image of the incoming map equals the kernel of the outgoing one
