@@ -2,12 +2,15 @@
 
 Matrices are immutable tuples of tuples of Fraction.  Every elimination
 over Q goes through SpanBasis, an incremental echelon basis of sparse
-primitive integer rows, reduced fraction-free: rank and det insert a
-matrix's rows into one basis, rref back-reduces it, and nullspace and
-Solver read their answers off the reduced rows, scaled back to leading
-1s.  Sparse rows, {column: value} dicts such as the cohomology engine's
-integer differentials, are ranked as they are by row_rank, multiplied
-by row_product and made dense by dense.
+primitive integer rows, reduced fraction-free.  An insert reduces a row
+only until its leading column holds no pivot, so the rows are kept in
+echelon form; basis() and back_reduce finish the reduction where rows
+are read.  rank and det insert a matrix's rows into one basis, rref
+back-reduces it, and nullspace and Solver read their answers off the
+reduced rows, scaled back to leading 1s.  Sparse rows, {column: value}
+dicts such as the cohomology engine's integer differentials, are ranked
+as they are by row_rank, multiplied by row_product and made dense by
+dense.
 """
 
 from __future__ import annotations
@@ -79,43 +82,53 @@ def _sparse(v) -> dict[int, Fraction]:
     return {j: frac(x) for j, x in enumerate(v) if x}
 
 
+def _eliminate(v: dict[int, int], row: dict[int, int], p: int) -> int:
+    """Make v vanish at p in place, by v <- (a/g) v - (b/g) row with
+    a = row[p], b = v[p] and g their gcd; return a/g, the factor v was
+    scaled by."""
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for j in v:
+            v[j] *= a
+    for j, y in row.items():
+        x = v.get(j, 0) - b * y
+        if x:
+            v[j] = x
+        else:
+            del v[j]
+    return a
+
+
 class SpanBasis:
     """Incremental echelon basis of a subspace of Q^width, the one
     elimination routine over Q.  Rows are primitive integer vectors,
     sparse {column: int} dicts whose entries have gcd 1 and whose leading
     entry, at the pivot, is positive; each is a positive multiple of the
     leading-1 row over Q.  A new vector is cleared of denominators once
-    and reduced fraction-free against the rows in ascending pivot order,
-    so the reduction loops do integer arithmetic only; insert_ints takes
-    an integer row as it is, for callers that discard their rows."""
+    and reduced fraction-free only while its leading column holds a
+    pivot, so the rows stay in echelon form and the reduction loops do
+    integer arithmetic only; insert_ints takes an integer row as it is,
+    for callers that discard their rows.  The rest of the reduction is
+    done where rows are read: basis() clears each row at the pivots kept
+    before it, and back_reduce clears every pivot column in the other
+    rows."""
 
     def __init__(self, width: int):
         self.width = width
         self.pivots: list[int] = []
         self._rows: dict[int, dict[int, int]] = {}
+        self._order: list[int] = []  # the pivots in insertion order
+        self._done = 0  # rows of _order[:_done] vanish at every earlier pivot
 
     def _reduce(self, v: dict[int, int], pivots) -> int:
-        """Make v vanish at the given pivots in place, by steps
-        v <- (a/g) v - (b/g) row; return the factor v was scaled by."""
+        """Make v vanish at the given pivots in place; return the factor
+        v was scaled by."""
         scale = 1
         for p in pivots:
-            b = v.get(p)
-            if not b:
-                continue
-            row = self._rows[p]
-            a = row[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                scale *= a
-                for j in v:
-                    v[j] *= a
-            for j, y in row.items():
-                x = v.get(j, 0) - b * y
-                if x:
-                    v[j] = x
-                else:
-                    del v[j]
+            if v.get(p):
+                scale *= _eliminate(v, self._rows[p], p)
         return scale
 
     def _keep(self, pivot: int, v: dict[int, int]) -> None:
@@ -138,14 +151,35 @@ class SpanBasis:
     def insert_ints(self, v: dict[int, int], den: int = 1) -> tuple[int, int, int] | None:
         """insert for the vector v / den, v a sparse row of nonzero
         integers that the caller gives up: v is reduced in place."""
-        scale = den * self._reduce(v, self.pivots)
+        rows = self._rows
+        scale = den
+        while v:
+            pivot = min(v)
+            row = rows.get(pivot)
+            if row is None:
+                break
+            scale *= _eliminate(v, row, pivot)
         if not v:
             return None
-        pivot = min(v)
         num = v[pivot]
         self._keep(pivot, v)
         insort(self.pivots, pivot)
+        self._order.append(pivot)
         return pivot, num, scale
+
+    def _finish(self) -> None:
+        """Clear each row kept since the last finish at the pivots kept
+        before it, in ascending order.  The row then spans the one line
+        of span(v, earlier rows) that vanishes at those pivots, v the
+        vector inserted, so it is the row that reducing each insert at
+        every pivot would have kept, entry for entry."""
+        earlier = sorted(self._order[: self._done])
+        for p in self._order[self._done :]:
+            row = self._rows[p]
+            self._reduce(row, earlier)
+            self._keep(p, row)
+            insort(earlier, p)
+        self._done = len(self._order)
 
     def add(self, v) -> bool:
         """Insert a dense vector; True if it enlarged the span."""
@@ -159,6 +193,7 @@ class SpanBasis:
             row = self._rows[p]
             self._reduce(row, self.pivots[i + 1 :])
             self._keep(p, row)
+        self._done = len(self._order)
 
     @property
     def dim(self) -> int:
@@ -180,6 +215,7 @@ class SpanBasis:
 
     def basis(self) -> list[Vector]:
         """The rows scaled to a leading 1, dense."""
+        self._finish()
         zero = Fraction(0)
         return [
             tuple(
@@ -254,7 +290,7 @@ class Solver:
 
     def __init__(self, a: Matrix):
         m, n = shape(a)
-        self.ncols = n
+        self.shape = m, n
         basis = SpanBasis(n + m)
         for i, row in enumerate(a):
             v = _sparse(row)
@@ -272,12 +308,15 @@ class Solver:
 
     def __call__(self, b) -> Vector | None:
         """One solution of a x = b (free coordinates zero), or None."""
+        m, n = self.shape
+        if len(b) != m:
+            raise ValueError(f"shape mismatch {m}x{n} matrix, right-hand side of length {len(b)}")
         den = lcm(*(y.denominator for y in b))
         ib = [y.numerator * (den // y.denominator) for y in b]
         for erow in self._checks:
             if sum(x * ib[i] for i, x in erow):
                 return None
-        out = [Fraction(0)] * self.ncols
+        out = [Fraction(0)] * n
         for p, lead, erow in self._solved:
             out[p] = Fraction(sum(x * ib[i] for i, x in erow), lead * den)
         return tuple(out)

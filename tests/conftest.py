@@ -1,7 +1,7 @@
 """Shared builders: named example representations, the seeded
 generators of quivercoh.generate, dense matrix helpers that only the
-tests use, and an independent interval-splitting oracle for segment
-supports."""
+tests use, a reference Gauss-Jordan elimination in plain Fractions,
+and an independent interval-splitting oracle for segment supports."""
 
 from __future__ import annotations
 
@@ -40,6 +40,37 @@ def madd(a, b):
 
 def mneg(a):
     return tuple(tuple(-x for x in row) for row in a)
+
+
+def gauss_jordan(a):
+    """Reference reduced row echelon form by plain Fraction elimination
+    on dense rows; a row update touches the pivot row's nonzeros only."""
+    rows = [list(row) for row in a]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        support = [(j, y) for j, y in enumerate(rows[r]) if y]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                row = rows[i]
+                for j, y in support:
+                    row[j] -= f * y
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_rank(rows, width):
+    """Rank of sparse rows, {column: value} dicts, by gauss_jordan on
+    their dense Fraction matrix: no SpanBasis involved."""
+    dense = [[Fraction(row.get(c, 0)) for c in range(width)] for row in rows]
+    return len(gauss_jordan(dense)[1]) if dense else 0
 
 
 def zero_weight(space):

@@ -2,8 +2,11 @@
 Solver all read their answers off a SpanBasis, and must agree with the
 definitions they implement."""
 
+from bisect import insort
+from copy import deepcopy
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 from quivercoh.linalg import (
     SpanBasis,
     Solver,
+    Vector,
+    _sparse,
     dense,
     det,
     mat,
@@ -25,6 +30,8 @@ from quivercoh.linalg import (
     solve,
     transpose,
 )
+
+from conftest import gauss_jordan
 
 ENTRY = st.one_of(
     st.just(Fraction(0)),
@@ -185,26 +192,6 @@ def wide_matrices(max_rows=5, max_cols=6, square=False, entries=WIDE):
     return st.tuples(sizes, st.data()).map(lambda args: build(*args))
 
 
-def gauss_jordan(a):
-    """Reference reduced row echelon form by plain Fraction elimination."""
-    rows = [list(row) for row in a]
-    pivots = []
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if found is None:
-            continue
-        rows[r], rows[found] = rows[found], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows, pivots
-
-
 @settings(max_examples=80, deadline=None)
 @given(wide_matrices())
 def test_wide_range_rref_kernel_and_basis(a):
@@ -255,3 +242,172 @@ def test_solver_matches_gauss_jordan(a, data):
         expected = reference_solve(a, b)
         assert solver(b) == expected
         assert solve(a, b) == expected
+
+
+def test_solver_rejects_a_right_hand_side_of_the_wrong_length():
+    a = mat([[1, 0], [0, 1]])
+    for b in (mat([[1, 2, 3]])[0], mat([[1]])[0]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve(a, b)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Solver(a)(b)
+
+
+# The eager insert: every new vector is reduced at every stored pivot,
+# so each row vanishes at the pivots kept before it.  The reference for
+# SpanBasis, which keeps its rows in echelon form only and finishes the
+# reduction where they are read.
+
+
+class _EagerSpanBasis:
+    def __init__(self, width: int):
+        self.width = width
+        self.pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}
+
+    def _reduce(self, v: dict[int, int], pivots) -> int:
+        """Make v vanish at the given pivots in place, by steps
+        v <- (a/g) v - (b/g) row; return the factor v was scaled by."""
+        scale = 1
+        for p in pivots:
+            b = v.get(p)
+            if not b:
+                continue
+            row = self._rows[p]
+            a = row[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                scale *= a
+                for j in v:
+                    v[j] *= a
+            for j, y in row.items():
+                x = v.get(j, 0) - b * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+        return scale
+
+    def _keep(self, pivot: int, v: dict[int, int]) -> None:
+        """Store v at its pivot, divided by its content, leading entry > 0."""
+        c = gcd(*v.values())
+        if v[pivot] < 0:
+            c = -c
+        self._rows[pivot] = {j: x // c for j, x in v.items()}
+
+    def insert(self, vec: dict[int, Fraction | int]) -> tuple[int, int, int] | None:
+        """Insert a sparse vector of rationals or integers; return its
+        pivot p, and integers num and scale with num / scale the value at
+        p before scaling, or None if it already lies in the span."""
+        if all(type(x) is int for x in vec.values()):
+            return self.insert_ints({j: x for j, x in vec.items() if x})
+        den = lcm(*(x.denominator for x in vec.values()))
+        v = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
+        return self.insert_ints(v, den)
+
+    def insert_ints(self, v: dict[int, int], den: int = 1) -> tuple[int, int, int] | None:
+        """insert for the vector v / den, v a sparse row of nonzero
+        integers that the caller gives up: v is reduced in place."""
+        scale = den * self._reduce(v, self.pivots)
+        if not v:
+            return None
+        pivot = min(v)
+        num = v[pivot]
+        self._keep(pivot, v)
+        insort(self.pivots, pivot)
+        return pivot, num, scale
+
+    def add(self, v) -> bool:
+        """Insert a dense vector; True if it enlarged the span."""
+        return self.insert(_sparse(v)) is not None
+
+    def back_reduce(self) -> None:
+        """Clear each pivot column in the other rows: the rows become the
+        reduced row echelon form of the span, up to positive scalars."""
+        for i in reversed(range(len(self.pivots))):
+            p = self.pivots[i]
+            row = self._rows[p]
+            self._reduce(row, self.pivots[i + 1 :])
+            self._keep(p, row)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def kernel(self) -> list[Vector]:
+        """One vector per free column, that coordinate 1, orthogonal to
+        every row: read off the back-reduced rows."""
+        self.back_reduce()
+        out = []
+        for free in range(self.width):
+            if free not in self._rows:
+                v = [Fraction(0)] * self.width
+                v[free] = Fraction(1)
+                for p, row in self._rows.items():
+                    v[p] = -Fraction(row.get(free, 0), row[p])
+                out.append(tuple(v))
+        return out
+
+    def basis(self) -> list[Vector]:
+        """The rows scaled to a leading 1, dense."""
+        zero = Fraction(0)
+        return [
+            tuple(
+                Fraction(row[j], row[p]) if j in row else zero
+                for j in range(self.width)
+            )
+            for p, row in sorted(self._rows.items())
+        ]
+
+
+def _step_value(step):
+    """An insert's pivot and value at it, None for a vector in the span:
+    num and scale on their own may differ between the two classes."""
+    return None if step is None else (step[0], Fraction(step[1], step[2]))
+
+
+def _read(basis):
+    """basis() and kernel() of a copy, leaving basis as it was."""
+    copy = deepcopy(basis)
+    return copy.basis(), copy.kernel()
+
+
+OPS = ("insert", "insert", "insert_ints", "insert_ints", "add", "basis", "kernel", "back_reduce")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_echelon_inserts_match_the_eager_reduction(width, data):
+    """Random interleavings of inserts and reads give the same pivots,
+    the same basis() and kernel(), and the same value at each new pivot
+    as reducing every insert at every stored pivot.  A third of the
+    vectors are combinations of earlier ones, so many lie in the span."""
+    lazy, eager = SpanBasis(width), _EagerSpanBasis(width)
+    seen = []
+    for op in data.draw(st.lists(st.sampled_from(OPS), max_size=14)):
+        if op in ("basis", "kernel"):
+            assert getattr(lazy, op)() == getattr(eager, op)()
+        elif op == "back_reduce":
+            lazy.back_reduce()
+            eager.back_reduce()
+        else:
+            vec = data.draw(st.lists(WIDE, min_size=width, max_size=width))
+            if seen and data.draw(st.integers(0, 2)) == 0:
+                a, b = data.draw(WIDE), data.draw(WIDE)
+                u, w = data.draw(st.sampled_from(seen)), data.draw(st.sampled_from(seen))
+                vec = [a * x + b * y for x, y in zip(u, w)]
+            seen.append(vec)
+            if op == "add":
+                assert lazy.add(vec) == eager.add(vec)
+            elif op == "insert":
+                sparse = dict(enumerate(vec))
+                assert _step_value(lazy.insert(sparse)) == _step_value(eager.insert(sparse))
+            else:
+                den = data.draw(st.sampled_from(DENOMINATORS))
+                ints = {j: x.numerator for j, x in enumerate(vec) if x}
+                assert _step_value(lazy.insert_ints(dict(ints), den)) == _step_value(
+                    eager.insert_ints(dict(ints), den)
+                )
+        assert lazy.pivots == eager.pivots
+        assert _read(lazy) == _read(eager)
