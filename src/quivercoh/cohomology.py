@@ -12,11 +12,12 @@ cohomology of the bundle.
 The representation, weights included, is validated once, and each
 vertex's Bott data read off one eps pass.  One walk over the up-mirrors
 of the nonsingular vertices reads each segment product from the relation
-plan, and the full complex and its truncations (segments of at most a
-given number of steps) are assembled from it, each differential as
-sparse integer rows over one denominator.  The one-step truncation is
-itself a complex; intermediate truncations are reported with a caveat,
-since no inclusion structure is claimed for them.
+plan and its sign from the source's eps, and the full complex and its
+truncations (segments of at most a given number of steps) are assembled
+from it, each differential as sparse integer rows over one denominator.
+The one-step truncation is itself a complex; intermediate truncations
+are reported with a caveat, since no inclusion structure is claimed for
+them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from math import lcm
 from typing import NamedTuple
 
 from . import bott, linalg, rootsys
-from .bott import chamber_graph
 from .errors import DomainError, InternalCheckError
 # matmul is not used here; the benchmark's tracer test checks that its
 # wrapper reaches every module binding it through this binding.
@@ -76,34 +76,35 @@ def _checked_plan(rep: QuiverRep) -> RelationPlan:
     return plan
 
 
-@lru_cache(maxsize=None)
-def _sign_table(space: Space, twist: frozenset = frozenset()) -> dict[tuple, int]:
-    """A sign per degree-raising edge of the chamber adjacency graph such
-    that every square multiplies to -1.  The optional twist flips all
-    edges at the named chambers, producing a second valid solution.
+def _edge_sign(k: int, e: list[int], p: int) -> int:
+    """Sign of the differential along an up-mirror with box row p out of
+    the vertex with e = eps(w + g).
 
-    Each chamber is a partition lambda in a (k + 1) x (n - k) box:
-    lambda_p counts the second-block entries of e = eps(w + g) above
-    e[k + 1 - p].  An up-mirror with box (p, q) swaps e[k + 1 - p] with
-    the second-block entry just below it and so grows row p by one box,
-    leaving the other rows alone.  The edge's sign is (-1) to the number
-    of boxes of the source in the rows above p.  A square adds two boxes
-    in rows p1 < p2, in either order (two boxes in one row have a single
-    chamber between them): the p1 step reads the same rows above it both
-    ways, the p2 step reads one more box in exactly one order, so the
-    two paths differ by one sign."""
-    weights, edges = chamber_graph(space)
-    k = space.k
-    keys, shapes = [], []
-    for w in weights:
-        e = bott._shifted_eps(w)
-        keys.append(bott._chamber_of(e))
-        shapes.append([sum(x > e[k + 1 - p] for x in e[k + 1 :]) for p in range(1, k + 2)])
+    The source's chamber is a partition lambda in a (k + 1) x (n - k)
+    box: lambda_r counts the second-block entries of e above e[k + 1 - r],
+    so it depends only on the order of e's entries.  An up-mirror with
+    box (p, q) swaps e[k + 1 - p] with the second-block entry just below
+    it and so grows row p by one box, leaving the other rows alone.  The
+    sign is (-1) to the number of boxes of the source in the rows above
+    p.  A square adds two boxes in rows p1 < p2, in either order (two
+    boxes in one row have a single chamber between them): the p1 step
+    reads the same rows above it both ways, the p2 step reads one more
+    box in exactly one order, so the two paths differ by one sign."""
+    return (-1) ** sum(x > e[k + 1 - r] for r in range(1, p) for x in e[k + 1 :])
+
+
+@lru_cache(maxsize=None)
+def _sign_table(space: Space) -> dict[tuple, int]:
+    """_edge_sign on every degree-raising edge of the chamber adjacency
+    graph, keyed by the chamber keys of its ends; the engine reads each
+    sign at its mirror, and the tests check that rule on this table."""
     table = {}
-    for a, b in edges:
-        row = next(p for p, (x, y) in enumerate(zip(shapes[a], shapes[b])) if x != y)
-        flip = (keys[a] in twist) != (keys[b] in twist)
-        table[(keys[a], keys[b])] = (-1) ** (sum(shapes[a][:row]) + flip)
+    for w, _ in bott.chamber_vertices(space):
+        e = bott._shifted_eps(w)
+        for m in bott._mirrors_of(space, e):
+            if m.up:
+                key = (bott.chamber_key(space, w), bott.chamber_key(space, m.target))
+                table[key] = _edge_sign(space.k, e, m.box[0])
     return table
 
 
@@ -137,7 +138,7 @@ class CohomologyComplex(NamedTuple):
     is_complex: bool
 
 
-def _walk(rep: QuiverRep, gauge_twist: frozenset) -> list[tuple]:
+def _walk(rep: QuiverRep) -> list[tuple]:
     """Validate rep, then walk every up-mirror of every nonsingular vertex
     once.  Per class, (nu, degrees, blocks, parts): parts[d], for d and
     d + 1 both degrees, lists the blocks of the differential out of d,
@@ -145,10 +146,8 @@ def _walk(rep: QuiverRep, gauge_twist: frozenset) -> list[tuple]:
     product matrix / den with its offsets, length and sign."""
     plan = _checked_plan(rep)
     space = rep.space
-    signs = _sign_table(space, gauge_twist)
     index = {v.weight: i for i, v in enumerate(rep.vertices)}
     pieces, eps = _graded(rep)
-    keys = {i: bott._chamber_of(e) for i, e in eps.items()}
     by_nu: dict[Weight, dict[int, tuple[tuple[int, int], ...]]] = {}
     for piece in pieces:
         by_nu.setdefault(piece.nu, {})[piece.degree] = piece.blocks
@@ -174,7 +173,7 @@ def _walk(rep: QuiverRep, gauge_twist: frozenset) -> list[tuple]:
                     found.add(dst)
                     product = segment_product(plan, src, mirror.box, mirror.steps)
                     if product is not None and any(map(any, product[0])):
-                        sign = signs[(keys[src], keys[dst])]
+                        sign = _edge_sign(space.k, eps[src], mirror.box[0])
                         part.append((offsets[dst], col, mirror.steps, sign, *product))
                 col += dim
             parts[d] = part
@@ -211,10 +210,10 @@ def _assemble(space: Space, walked: list[tuple], max_steps: int | None) -> Cohom
     return CohomologyComplex(space, tuple(classes), max_steps, is_complex)
 
 
-def build_complex(rep: QuiverRep, gauge_twist: frozenset = frozenset()) -> CohomologyComplex:
+def build_complex(rep: QuiverRep) -> CohomologyComplex:
     """Assemble the differentials of the full complex; a hard error unless
     they square to zero."""
-    return _assemble(rep.space, _walk(rep, gauge_twist), None)
+    return _assemble(rep.space, _walk(rep), None)
 
 
 class TableRow(NamedTuple):
@@ -254,11 +253,10 @@ def _homology_table(space: Space, complex_: CohomologyComplex) -> CohomologyTabl
     return CohomologyTable(space, tuple(rows))
 
 
-def cohomology(rep: QuiverRep, gauge_twist: frozenset = frozenset()) -> CohomologyTable:
+def cohomology(rep: QuiverRep) -> CohomologyTable:
     """Cohomology of the bundle: kernel modulo image in every degree of
     every class of the full complex."""
-    complex_ = build_complex(rep, gauge_twist=gauge_twist)
-    return _homology_table(rep.space, complex_)
+    return _homology_table(rep.space, build_complex(rep))
 
 
 def graded_table(rep: QuiverRep) -> CohomologyTable:
@@ -286,7 +284,7 @@ class TruncatedResult(NamedTuple):
 def truncated_complex(rep: QuiverRep, nsteps: int) -> TruncatedResult:
     if nsteps < 1:
         raise DomainError("truncation needs at least one step")
-    walked = _walk(rep, frozenset())
+    walked = _walk(rep)
     full = _assemble(rep.space, walked, None)
     truncated = _assemble(rep.space, walked, nsteps)
     is_full = full.classes == truncated.classes

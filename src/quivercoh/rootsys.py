@@ -247,17 +247,17 @@ def omega1_boxes(space: Space) -> list[tuple[int, int]]:
 
 def box_weight(space: Space, p: int, q: int) -> Weight:
     """Weight translation of the arrow adding a box to alpha row p and
-    beta row q: minus the sum of consecutive simple roots crossing the
-    marked node."""
+    beta row q: minus the run alpha_lo + ... + alpha_hi of simple roots
+    crossing the marked node, which telescopes to omega_(lo-1) - omega_lo
+    - omega_hi + omega_(hi+1), with omega_0 = omega_(n+1) = 0."""
     if not (1 <= p <= space.k + 1 and 1 <= q <= space.n - space.k):
         raise DomainError(f"box pair ({p}, {q}) out of range")
     lo = space.k + 2 - p
     hi = space.k + q
-    w = [0] * space.rank
-    for i in range(lo, hi + 1):
-        for j, c in enumerate(simple_root(space, i)):
-            w[j] -= c
-    return tuple(w)
+    w = [0] * (space.rank + 2)  # omega_0, ..., omega_(n+1)
+    for i, c in ((lo - 1, 1), (lo, -1), (hi, -1), (hi + 1, 1)):
+        w[i] += c
+    return tuple(w[1:-1])
 
 
 def omega1_weights(space: Space) -> list[Weight]:

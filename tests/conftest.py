@@ -128,6 +128,22 @@ def adv_rep():
     )
 
 
+def transpose_rep(rep: QuiverRep) -> QuiverRep:
+    """rep read on Gr(n - k - 1, n), the same Grassmannian as Gr(k, n):
+    every weight reversed, each box (p, q) read as (q, p), every matrix
+    kept, built through the index form of make_rep."""
+    space = rootsys.space(rep.space.n - rep.space.k - 1, rep.space.n)
+    vertices = [(v.weight[::-1], v.dim) for v in rep.vertices]
+    arrows = [(a.src, a.dst, a.box[::-1], a.matrix) for a in rep.arrows]
+    return make_rep(space, vertices, arrows)
+
+
+def reversed_rows(table):
+    """table's rows with each module nu reversed, in table order: the
+    rows the transposed rep's table must have."""
+    return tuple(sorted(row._replace(nu=row.nu[::-1]) for row in table.rows))
+
+
 def generic_ex73_rep():
     return ex73_rep([[1], [2]], [[1], [3]], [[1, 1]], [[2, 1]])
 

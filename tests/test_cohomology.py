@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quivercoh import bott, cohomology, linalg, quiver, rootsys, stability
-from quivercoh.bott import chamber_key, chamber_vertices
+from quivercoh.bott import chamber_key
 from quivercoh.cohomology import (
     CohomologyTable,
     build_complex,
@@ -27,6 +27,8 @@ from conftest import (
     interval_basis,
     random_rep,
     random_segment_rep,
+    reversed_rows,
+    transpose_rep,
 )
 
 
@@ -88,9 +90,9 @@ class TestBuildComplex:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_square_anticommutes(self, n):
-        """On every Gr(k, n), untwisted and twisted at one chamber: at most
-        two chambers lie between a pair at distance 2, and where there are
-        two, the four signs around the square multiply to -1."""
+        """On every Gr(k, n): at most two chambers lie between a pair at
+        distance 2, and where there are two, the four signs around the
+        square multiply to -1."""
         for k in range(n):
             space = rootsys.space(k, n)
             weights, edges = bott.chamber_graph(space)
@@ -98,21 +100,32 @@ class TestBuildComplex:
             outgoing = {}
             for a, b in edges:
                 outgoing.setdefault(a, []).append(b)
-            for twist in (frozenset(), frozenset({keys[len(keys) // 2]})):
-                signs = cohomology._sign_table(space, twist)
-                assert len(signs) == len(edges)
-                for a, mids in outgoing.items():
-                    between = {}
-                    for b in mids:
-                        for c in outgoing.get(b, []):
-                            between.setdefault(c, []).append(b)
-                    for c, path in between.items():
-                        assert len(path) <= 2, (space, a, c)
-                        if len(path) == 2:
-                            product = 1
-                            for b in path:
-                                product *= signs[(keys[a], keys[b])] * signs[(keys[b], keys[c])]
-                            assert product == -1, (space, twist, a, c)
+            signs = cohomology._sign_table(space)
+            assert len(signs) == len(edges)
+            for a, mids in outgoing.items():
+                between = {}
+                for b in mids:
+                    for c in outgoing.get(b, []):
+                        between.setdefault(c, []).append(b)
+                for c, path in between.items():
+                    assert len(path) <= 2, (space, a, c)
+                    if len(path) == 2:
+                        product = 1
+                        for b in path:
+                            product *= signs[(keys[a], keys[b])] * signs[(keys[b], keys[c])]
+                        assert product == -1, (space, a, c)
+
+    def test_engine_never_walks_the_chambers(self):
+        """Each sign is read at its mirror, so neither the complex nor its
+        truncation walks the space's chambers."""
+        for module in (bott, cohomology):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+        rep = dual_euler_rep(rootsys.space(4, 9))
+        cohomology.cohomology(rep)
+        truncated_complex(rep, 1)
+        assert bott._chamber_walk.cache_info().currsize == 0
 
     def test_missing_intermediate_vertex_zeroes_composite(self):
         rep = quiver.make_rep(
@@ -274,7 +287,7 @@ class TestSparseDifferentials:
         broken = 0
         for _ in range(40):
             rep = random_rep(GR13, rng, max_dim=3, max_vertices=14)
-            for walked in _single_flips(cohomology._walk(rep, frozenset())):
+            for walked in _single_flips(cohomology._walk(rep)):
                 every = cohomology._assemble(GR13, walked, 99)  # all blocks, never raises
                 assert every.is_complex == _squares_to_zero_dense(every)
                 if not every.is_complex:
@@ -289,7 +302,7 @@ class TestSparseDifferentials:
         ranked = 0
         for _ in range(25):
             rep = random_rep(space, rng, max_dim=3)
-            walked = cohomology._walk(rep, frozenset())
+            walked = cohomology._walk(rep)
             full = cohomology._assemble(space, walked, None)
             assert _squares_to_zero_dense(full)
             for cls in full.classes:
@@ -330,13 +343,12 @@ def _longest_segment(rep) -> int:
 
 
 class TestRandomSuite:
-    """Complex property, gauge independence, Euler characteristic."""
+    """Complex property, transposition, Euler characteristic."""
 
     @pytest.mark.parametrize("space_name,seed", [("P2", 101), ("GR13", 202), ("GR14", 303)])
     def test_fifty_reps_each(self, space_name, seed):
         space = {"P2": P2, "GR13": GR13, "GR14": GR14}[space_name]
         rng = random.Random(seed)
-        twist = frozenset({chamber_key(space, chamber_vertices(space)[1][0])})
         for _ in range(50):
             rep = random_rep(space, rng)
             assert quiver.check_relations(rep) == []
@@ -345,8 +357,7 @@ class TestRandomSuite:
             assert result.is_complex     # one-step truncation is a complex
             table = cohomology.cohomology(rep)
             assert table.euler_characteristic() == graded_table(rep).euler_characteristic()
-            retwisted = cohomology.cohomology(rep, gauge_twist=twist)
-            assert table.rows == retwisted.rows
+            assert cohomology.cohomology(transpose_rep(rep)).rows == reversed_rows(table)
             # the longest segment joining two vertices bounds the truncations
             longest = _longest_segment(rep)
             full = [truncated_complex(rep, n).is_full for n in range(1, longest + 2)]
@@ -414,6 +425,31 @@ class TestSerreDuality:
         ]
         assert quiver.check_relations(rep) == []
         assert quiver.twist_rep(rep, -3) == dual_euler_rep(P2)
+
+
+class TestGrassmannianTransposition:
+    """Gr(k, n) and Gr(n - k - 1, n) are one variety: transpose_rep reads
+    a rep on the other side, where the chamber keys, mirrors and signs
+    all differ, and its table must be the original with each nu
+    reversed."""
+
+    @pytest.mark.parametrize("k,n", [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (2, 5)])
+    def test_tables_and_tangent_dims(self, k, n):
+        space = rootsys.space(k, n)
+        rng = random.Random(1000 * k + n)
+        differs = 0
+        for i in range(30):
+            rep = random_rep(space, rng, max_dim=3, max_vertices=10)
+            other = transpose_rep(rep)
+            assert other.space == rootsys.space(n - k - 1, n)
+            assert quiver.check_relations(other) == []
+            assert transpose_rep(other) == rep
+            table = cohomology.cohomology(rep)
+            assert cohomology.cohomology(other).rows == reversed_rows(table)
+            differs += table != graded_table(rep)
+            if i < 10:
+                assert stability.tangent_dim(other) == stability.tangent_dim(rep)
+        assert differs  # some differential has nonzero rank
 
 
 class TestPathOracle:

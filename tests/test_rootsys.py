@@ -196,6 +196,20 @@ class TestOmega1:
                 assert len(ws) == space.dim
                 assert len(set(ws)) == space.dim
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_box_weight_is_minus_a_run_of_simple_roots(self, n):
+        for k in range(n):
+            space = rootsys.space(k, n)
+            for p, q in rootsys.omega1_boxes(space):
+                run = [rootsys.simple_root(space, i) for i in range(k + 2 - p, k + q + 1)]
+                expected = tuple(-sum(column) for column in zip(*run))
+                assert rootsys.box_weight(space, p, q) == expected
+
+    def test_box_weight_range_check(self):
+        for p, q in [(0, 1), (3, 1), (1, 0), (1, 3)]:
+            with pytest.raises(DomainError, match=rf"box pair \({p}, {q}\) out of range"):
+                rootsys.box_weight(GR13, p, q)
+
 
 class TestShapeDictionary:
     def test_picard_generator(self):
