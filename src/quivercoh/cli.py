@@ -24,9 +24,7 @@ from .errors import DomainError, InternalCheckError, ParseError
 from .rootsys import BundleShape, Space
 
 
-def parse_space(text: str | None) -> Space:
-    if text is None:
-        raise ParseError("need --space")
+def parse_space(text: str) -> Space:
     text = text.strip().lower()
     m = re.fullmatch(r"p:(\d+)", text)
     if m:
@@ -37,10 +35,8 @@ def parse_space(text: str | None) -> Space:
     raise ParseError(f"bad space {text!r}; use p:n or gr:k,n")
 
 
-def _ints(text: str | None, what: str) -> tuple[int, ...]:
+def _ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated integers from the flag --what."""
-    if text is None:
-        raise ParseError(f"need --{what}")
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -92,23 +88,12 @@ def parse_bundle_expr(space: Space, text: str) -> BundleShape:
         raise ParseError(str(exc))
 
 
-def format_bundle_expr(shape: BundleShape) -> str:
-    parts = []
-    if shape.alpha:
-        parts.append("S[" + ",".join(str(x) for x in shape.alpha) + "]U")
-    if shape.beta:
-        parts.append("S[" + ",".join(str(x) for x in shape.beta) + "]Q*")
-    if shape.t or not parts:
-        parts.append(f"O({shape.t})")
-    return " ".join(parts)
 
 
-def _weight_of(space: Space, args):
-    if getattr(args, "weight", None):
-        return parse_weight(space, args.weight)
-    if getattr(args, "bundle", None):
-        return rootsys.shape_to_weight(space, parse_bundle_expr(space, args.bundle))
-    raise ParseError("need --weight or --bundle")
+def _weight_of(args):
+    if args.weight is not None:
+        return parse_weight(args.space, args.weight)
+    return rootsys.shape_to_weight(args.space, parse_bundle_expr(args.space, args.bundle))
 
 
 def _read_json(path: str, schema: str, convert):
@@ -133,13 +118,6 @@ def _load_rep(path: str) -> quiver.QuiverRep:
 
 def _weight_str(w) -> str:
     return ",".join(str(c) for c in w)
-
-
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
 
 
 def _table_payload(table: cohomology.CohomologyTable) -> dict:
@@ -167,45 +145,33 @@ def _table_human(table: cohomology.CohomologyTable) -> str:
     return "\n".join(lines)
 
 
-def cmd_bott(args) -> int:
-    space = parse_space(args.space)
-    w = _weight_of(space, args)
-    value = bott.bott(space, w)
+# Each cmd_* handler returns (JSON payload, human text), with the exit
+# code as a third item when it is not 0; _run prints one of the two.
+
+
+def cmd_bott(args):
+    value = bott.bott(args.space, _weight_of(args))
     if value is None:
-        _emit(args, {"singular": True}, "singular: all cohomology vanishes")
-        return 0
-    dim = rootsys.module_dim(space, value.nu)
-    _emit(
-        args,
-        {
-            "singular": False,
-            "degree": value.degree,
-            "nu": list(value.nu),
-            "dim": dim,
-        },
-        f"degree {value.degree}, nu {_weight_str(value.nu)} (dim {dim})",
-    )
-    return 0
+        return {"singular": True}, "singular: all cohomology vanishes"
+    dim = rootsys.module_dim(args.space, value.nu)
+    payload = {"singular": False, "degree": value.degree, "nu": list(value.nu), "dim": dim}
+    return payload, f"degree {value.degree}, nu {_weight_str(value.nu)} (dim {dim})"
 
 
-def cmd_chambers(args) -> int:
-    space = parse_space(args.space)
-    verts = bott.chamber_vertices(space)
-    histogram = [0] * (space.dim + 1)
+def cmd_chambers(args):
+    verts = bott.chamber_vertices(args.space)
+    histogram = [0] * (args.space.dim + 1)
     for _, d in verts:
         histogram[d] += 1
     rows = [{"weight": list(w), "degree": d} for w, d in verts]
     human = "\n".join(f"{d}  {_weight_str(w)}" for w, d in verts)
     human += "\nhistogram " + ",".join(str(x) for x in histogram)
-    _emit(args, {"vertices": rows, "histogram": histogram}, human)
-    return 0
+    return {"vertices": rows, "histogram": histogram}, human
 
 
-def cmd_hasse(args) -> int:
-    space = parse_space(args.space)
-    value = bott.hasse_degree(space)
-    _emit(args, {"degree": value}, str(value))
-    return 0
+def cmd_hasse(args):
+    value = bott.hasse_degree(args.space)
+    return {"degree": value}, str(value)
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -220,7 +186,7 @@ def _parse_matrix(text: str) -> list[list[int]]:
     return rows
 
 
-def cmd_components(args) -> int:
+def cmd_components(args):
     if args.matrix:
         matrix = _parse_matrix(args.matrix)
     else:
@@ -228,27 +194,22 @@ def cmd_components(args) -> int:
             raise ParseError("need --type and --rank, or --matrix")
         matrix = bott.cartan_matrix(args.type, args.rank)
     value = bott.components_count(matrix)
-    _emit(args, {"components": value}, str(value))
-    return 0
+    return {"components": value}, str(value)
 
 
-def cmd_quiver_arrows(args) -> int:
-    space = parse_space(args.space)
-    w = _weight_of(space, args)
-    arrows = quiver.arrows_from(space, w)
+def cmd_quiver_arrows(args):
+    arrows = quiver.arrows_from(args.space, _weight_of(args))
     payload = [
         {"box": list(box), "target": list(target)} for box, target in arrows
     ]
     human = "\n".join(
         f"({box[0]},{box[1]}) -> {_weight_str(target)}" for box, target in arrows
     )
-    _emit(args, {"arrows": payload}, human or "no arrows")
-    return 0
+    return {"arrows": payload}, human or "no arrows"
 
 
-def cmd_check(args) -> int:
-    rep = _load_rep(args.rep)
-    violations = quiver.check_relations(rep)
+def cmd_check(args):
+    violations = quiver.check_relations(args.rep)
     payload = {
         "valid": not violations,
         "violations": [
@@ -266,28 +227,22 @@ def cmd_check(args) -> int:
             f"({_weight_str(v.target)})"
             for v in violations
         ]
-        _emit(args, payload, "\n".join(lines))
-        return 1
-    _emit(args, payload, "all relations hold")
-    return 0
+        return payload, "\n".join(lines), 1
+    return payload, "all relations hold"
 
 
-def cmd_rescale(args) -> int:
-    rep = _load_rep(args.rep)
-    print(quiver.rep_to_json(quiver.rescale_to_commutative(rep)))
-    return 0
+def cmd_rescale(args):
+    # the output is a representation file, with or without --json
+    print(quiver.rep_to_json(quiver.rescale_to_commutative(args.rep)))
 
 
-def cmd_cohomology(args) -> int:
-    rep = _load_rep(args.rep)
-    table = cohomology.cohomology(rep)
-    _emit(args, _table_payload(table), _table_human(table))
-    return 0
+def cmd_cohomology(args):
+    table = cohomology.cohomology(args.rep)
+    return _table_payload(table), _table_human(table)
 
 
-def cmd_truncated(args) -> int:
-    rep = _load_rep(args.rep)
-    result = cohomology.truncated_complex(rep, args.steps)
+def cmd_truncated(args):
+    result = cohomology.truncated_complex(args.rep, args.steps)
     payload = _table_payload(result.table)
     payload.update(
         {
@@ -300,14 +255,12 @@ def cmd_truncated(args) -> int:
     human = _table_human(result.table)
     if result.caveat:
         human += f"\nnote: {result.caveat}"
-    _emit(args, payload, human)
-    return 0
+    return payload, human
 
 
-def _character_for(args, rep) -> stability.Character:
-    source = getattr(args, "character", "auto") or "auto"
-    if source == "auto":
-        return stability.canonical_character(rep)
+def _character(args) -> stability.Character:
+    if args.character == "auto":
+        return stability.canonical_character(args.rep)
 
     def convert(data):
         sigma = tuple(
@@ -319,212 +272,205 @@ def _character_for(args, rep) -> stability.Character:
         )
         return stability.Character(sigma, quiver.json_int(data.get("scale", 1)))
 
-    return _read_json(source, "character", convert)
+    return _read_json(args.character, "character", convert)
 
 
-def cmd_stability(args) -> int:
-    rep = _load_rep(args.rep)
-    sub = args.stability_command
-    if sub == "character":
-        ch = stability.canonical_character(rep)
-        payload = {
-            "sigma": [{"weight": list(w), "value": s} for w, s in ch.sigma],
-            "scale": ch.scale,
-        }
-        human = "\n".join(f"{_weight_str(w)}  {s}" for w, s in ch.sigma)
-        human += f"\nscale {ch.scale}"
-        _emit(args, payload, human)
-        return 0
-    ch = _character_for(args, rep)
-    if sub == "witness":
-        if args.witness is None:
-            raise ParseError("need --witness")
-        spans = _read_json(
-            args.witness,
-            "witness",
-            lambda data: [
-                [[quiver.parse_frac(x) for x in vec] for vec in vertex_spans]
-                for vertex_spans in data["spans"]
-            ],
+def cmd_character(args):
+    ch = stability.canonical_character(args.rep)
+    payload = {
+        "sigma": [{"weight": list(w), "value": s} for w, s in ch.sigma],
+        "scale": ch.scale,
+    }
+    human = "\n".join(f"{_weight_str(w)}  {s}" for w, s in ch.sigma)
+    return payload, human + f"\nscale {ch.scale}"
+
+
+def cmd_witness(args):
+    ch = _character(args)
+    spans = _read_json(
+        args.witness,
+        "witness",
+        lambda data: [
+            [[quiver.parse_frac(x) for x in vec] for vec in vertex_spans]
+            for vertex_spans in data["spans"]
+        ],
+    )
+    if len(spans) != len(args.rep.vertices):
+        raise ParseError("witness needs one span list per vertex")
+    report = stability.check_witness(args.rep, spans, ch)
+    payload = {
+        "arrow_closed": report.arrow_closed,
+        "subdims": [{"weight": list(w), "dim": d} for w, d in report.subdims],
+        "pairing": report.pairing,
+        "destabilizes": report.destabilizes,
+    }
+    human = (
+        f"pairing {report.pairing}; "
+        + ("destabilizes" if report.destabilizes else "no destabilizer here")
+    )
+    return payload, human
+
+
+def cmd_path(args):
+    value = stability.path_semistable(args.rep, _character(args))
+    return {"semistable": value}, "semistable" if value else "unstable"
+
+
+def cmd_tangent(args):
+    value = stability.tangent_dim(args.rep)
+    return {"tangent_dim": value}, str(value)
+
+
+def cmd_ex73(args):
+    report = stability.ex73_invariants(args.rep)
+    s, t = quiver.frac_str(report.s), quiver.frac_str(report.t)
+    payload = {
+        "S": s,
+        "T": t,
+        "branch": report.branch,
+        "middle_destabilized": report.middle_destabilized,
+    }
+    human = (
+        f"S = {s}, T = {t}, "
+        f"branch {report.branch}"
+        + (", middle row destabilizes" if report.middle_destabilized else "")
+    )
+    return payload, human
+
+
+def cmd_twostep(args):
+    a = _ints(args.partition, "partition") if args.partition else ()
+    rows = _ints(args.rows, "rows")
+    if len(rows) != 2:
+        raise ParseError("rows must be i,j")
+    c_ij, c_ji = map(quiver.frac_str, pieri.two_step_coefficients(a, rows, args.m))
+    return {"c_ij": c_ij, "c_ji": c_ji}, f"c_ij = {c_ij}, c_ji = {c_ji}"
+
+
+def cmd_relations(args):
+    w = _weight_of(args)
+    nums = _ints(args.boxes, "boxes")
+    if len(nums) != 4:
+        raise ParseError("boxes must be p1,q1,p2,q2")
+    boxes = ((nums[0], nums[1]), (nums[2], nums[3]))
+    ok = pieri.verify_relation_coefficients(args.space, w, boxes)
+    equations = quiver.relation_system(args.space, w, boxes)
+    payload = {
+        "verified": ok,
+        "equations": [
+            {
+                "target": list(eq.target),
+                "terms": [
+                    {
+                        "first": list(f),
+                        "second": list(s),
+                        "coefficient": quiver.frac_str(c),
+                    }
+                    for f, s, c in eq.terms
+                ],
+            }
+            for eq in equations
+        ],
+    }
+    lines = [f"verified: {ok}"]
+    for eq in equations:
+        terms = " + ".join(
+            f"({quiver.frac_str(c)}) g[{s}]g[{f}]" for f, s, c in eq.terms
         )
-        if len(spans) != len(rep.vertices):
-            raise ParseError("witness needs one span list per vertex")
-        report = stability.check_witness(rep, spans, ch)
-        payload = {
-            "arrow_closed": report.arrow_closed,
-            "subdims": [
-                {"weight": list(w), "dim": d} for w, d in report.subdims
-            ],
-            "pairing": report.pairing,
-            "destabilizes": report.destabilizes,
-        }
-        human = (
-            f"pairing {report.pairing}; "
-            + ("destabilizes" if report.destabilizes else "no destabilizer here")
-        )
-        _emit(args, payload, human)
-        return 0
-    if sub == "path":
-        value = stability.path_semistable(rep, ch)
-        _emit(args, {"semistable": value}, "semistable" if value else "unstable")
-        return 0
-    if sub == "tangent":
-        value = stability.tangent_dim(rep)
-        _emit(args, {"tangent_dim": value}, str(value))
-        return 0
-    if sub == "ex73":
-        report = stability.ex73_invariants(rep)
-        s, t = quiver.frac_str(report.s), quiver.frac_str(report.t)
-        payload = {
-            "S": s,
-            "T": t,
-            "branch": report.branch,
-            "middle_destabilized": report.middle_destabilized,
-        }
-        human = (
-            f"S = {s}, T = {t}, "
-            f"branch {report.branch}"
-            + (", middle row destabilizes" if report.middle_destabilized else "")
-        )
-        _emit(args, payload, human)
-        return 0
-    raise ParseError(f"unknown stability command {sub!r}")
+        lines.append(f"0 = {terms}")
+    return payload, "\n".join(lines)
 
 
-def cmd_oracle(args) -> int:
-    sub = args.oracle_command
-    if sub == "twostep":
-        a = _ints(args.partition, "partition") if args.partition else ()
-        rows = _ints(args.rows, "rows")
-        if len(rows) != 2:
-            raise ParseError("rows must be i,j")
-        c_ij, c_ji = map(quiver.frac_str, pieri.two_step_coefficients(a, rows, args.m))
-        _emit(args, {"c_ij": c_ij, "c_ji": c_ji}, f"c_ij = {c_ij}, c_ji = {c_ji}")
-        return 0
-    if sub == "relations":
-        space = parse_space(args.space)
-        w = _weight_of(space, args)
-        nums = _ints(args.boxes, "boxes")
-        if len(nums) != 4:
-            raise ParseError("boxes must be p1,q1,p2,q2")
-        boxes = ((nums[0], nums[1]), (nums[2], nums[3]))
-        ok = pieri.verify_relation_coefficients(space, w, boxes)
-        equations = quiver.relation_system(space, w, boxes)
-        payload = {
-            "verified": ok,
-            "equations": [
-                {
-                    "target": list(eq.target),
-                    "terms": [
-                        {
-                            "first": list(f),
-                            "second": list(s),
-                            "coefficient": quiver.frac_str(c),
-                        }
-                        for f, s, c in eq.terms
-                    ],
-                }
-                for eq in equations
-            ],
-        }
-        lines = [f"verified: {ok}"]
-        for eq in equations:
-            terms = " + ".join(
-                f"({quiver.frac_str(c)}) g[{s}]g[{f}]" for f, s, c in eq.terms
-            )
-            lines.append(f"0 = {terms}")
-        _emit(args, payload, "\n".join(lines))
-        return 0
-    if sub == "p2":
-        k = args.k
-        c, b = pieri.p2_matrices(k)
-        ok = pieri.wedge_check(k)
+def cmd_p2(args):
+    c, b = pieri.p2_matrices(args.k)
+    ok = pieri.wedge_check(args.k)
 
-        def ext_str(e):
-            names = ["", "x", "y", "x^y"]
-            terms = [
-                (f"{quiver.frac_str(c)}" + (f"*{n}" if n else ""))
-                for c, n in zip(e, names)
-                if c != 0
-            ]
-            return " + ".join(terms) if terms else "0"
+    def ext_str(e):
+        names = ["", "x", "y", "x^y"]
+        terms = [
+            (f"{quiver.frac_str(c)}" + (f"*{n}" if n else ""))
+            for c, n in zip(e, names)
+            if c != 0
+        ]
+        return " + ".join(terms) if terms else "0"
 
-        payload = {
-            "identities_hold": ok,
-            "C": [[ext_str(x) for x in row] for row in c],
-            "B": [[ext_str(x) for x in row] for row in b],
-        }
-        lines = [f"identities hold: {ok}", "C:"]
-        lines += ["  " + "  ".join(ext_str(x) for x in row) for row in c]
-        lines.append("B:")
-        lines += ["  " + "  ".join(ext_str(x) for x in row) for row in b]
-        _emit(args, payload, "\n".join(lines))
-        return 0
-    raise ParseError(f"unknown oracle command {sub!r}")
+    payload = {
+        "identities_hold": ok,
+        "C": [[ext_str(x) for x in row] for row in c],
+        "B": [[ext_str(x) for x in row] for row in b],
+    }
+    lines = [f"identities hold: {ok}", "C:"]
+    lines += ["  " + "  ".join(ext_str(x) for x in row) for row in c]
+    lines.append("B:")
+    lines += ["  " + "  ".join(ext_str(x) for x in row) for row in b]
+    return payload, "\n".join(lines)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A bad command line raises ParseError, so it leaves main like a bad
+    input file: exit 2 and one "error:" line, not argparse's usage text."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quivercoh",
         description="cohomology of homogeneous bundles via quiver representations",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(group, name, fn, help, space=False, weight=False, rep=False):
+        p = group.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true")
+        if space:
+            p.add_argument("--space", required=True, type=parse_space)
+        if weight:
+            either = p.add_mutually_exclusive_group(required=True)
+            either.add_argument("--weight")
+            either.add_argument("--bundle")
+        if rep:
+            p.add_argument("--rep", required=True, type=_load_rep)
         return p
 
-    p = add("bott", cmd_bott, help="cohomology of one irreducible bundle")
-    p.add_argument("--space", required=True)
-    p.add_argument("--weight")
-    p.add_argument("--bundle")
+    add(commands, "bott", cmd_bott, "cohomology of one irreducible bundle", space=True, weight=True)
+    add(commands, "chambers", cmd_chambers, "chamber vertices and degree histogram", space=True)
+    add(commands, "hasse", cmd_hasse, "maximal path count of the chamber graph", space=True)
 
-    p = add("chambers", cmd_chambers, help="chamber vertices and degree histogram")
-    p.add_argument("--space", required=True)
-
-    p = add("hasse", cmd_hasse, help="maximal path count of the chamber graph")
-    p.add_argument("--space", required=True)
-
-    p = add("components", cmd_components, help="component count from a Cartan matrix")
+    p = add(commands, "components", cmd_components, "component count from a Cartan matrix")
     p.add_argument("--type")
     p.add_argument("--rank", type=int)
     p.add_argument("--matrix")
 
-    p = add("quiver-arrows", cmd_quiver_arrows, help="arrows out of a vertex")
-    p.add_argument("--space", required=True)
-    p.add_argument("--weight")
-    p.add_argument("--bundle")
-
-    p = add("check", cmd_check, help="verify the relations of a representation")
-    p.add_argument("--rep", required=True)
-
-    p = add("rescale", cmd_rescale, help="commutativity normalization (projective space)")
-    p.add_argument("--rep", required=True)
-
-    p = add("cohomology", cmd_cohomology, help="cohomology table of a representation")
-    p.add_argument("--rep", required=True)
-
-    p = add("truncated", cmd_truncated, help="homology of the truncated sequence")
-    p.add_argument("--rep", required=True)
+    add(commands, "quiver-arrows", cmd_quiver_arrows, "arrows out of a vertex", space=True, weight=True)
+    add(commands, "check", cmd_check, "verify the relations of a representation", rep=True)
+    add(commands, "rescale", cmd_rescale, "commutativity normalization (projective space)", rep=True)
+    add(commands, "cohomology", cmd_cohomology, "cohomology table of a representation", rep=True)
+    p = add(commands, "truncated", cmd_truncated, "homology of the truncated sequence", rep=True)
     p.add_argument("--steps", type=int, required=True)
 
-    p = add("stability", cmd_stability, help="characters and semistability")
-    p.add_argument("stability_command", choices=["character", "witness", "path", "tangent", "ex73"])
-    p.add_argument("--rep", required=True)
+    group = commands.add_parser("stability", help="characters and semistability")
+    group = group.add_subparsers(dest="stability_command", required=True)
+    add(group, "character", cmd_character, "canonical character", rep=True)
+    p = add(group, "witness", cmd_witness, "pair a subrepresentation with a character", rep=True)
     p.add_argument("--character", default="auto")
-    p.add_argument("--witness")
+    p.add_argument("--witness", required=True)
+    p = add(group, "path", cmd_path, "semistability along paths", rep=True)
+    p.add_argument("--character", default="auto")
+    add(group, "tangent", cmd_tangent, "tangent space dimension", rep=True)
+    add(group, "ex73", cmd_ex73, "invariants of the seven-vertex family", rep=True)
 
-    p = add("oracle", cmd_oracle, help="independent coefficient oracle")
-    p.add_argument("oracle_command", choices=["twostep", "relations", "p2"])
+    group = commands.add_parser("oracle", help="independent coefficient oracle")
+    group = group.add_subparsers(dest="oracle_command", required=True)
+    p = add(group, "twostep", cmd_twostep, "two-step Pieri coefficients")
     p.add_argument("--partition", default="")
-    p.add_argument("--rows")
+    p.add_argument("--rows", required=True)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--space")
-    p.add_argument("--weight")
-    p.add_argument("--bundle")
-    p.add_argument("--boxes")
+    p = add(group, "relations", cmd_relations, "relations at a vertex", space=True, weight=True)
+    p.add_argument("--boxes", required=True)
+    p = add(group, "p2", cmd_p2, "the P^2 matrices and their identities")
     p.add_argument("--k", type=int, default=1)
 
     return parser
@@ -566,10 +512,9 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_flag_values(argv))
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(_join_flag_values(argv))
+        result = args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -579,6 +524,11 @@ def _run(argv) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    if result is None:  # rescale printed its representation file
+        return 0
+    payload, human, *code = result
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else human)
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

@@ -92,15 +92,6 @@ def wsub(w1: Weight, w2: Weight) -> Weight:
     return tuple(a - b for a, b in zip(w1, w2))
 
 
-def wscale(c: int, w: Weight) -> Weight:
-    return tuple(c * a for a in w)
-
-
-def g_weight(space: Space) -> Weight:
-    """Sum of the fundamental weights (all coordinates 1)."""
-    return (1,) * space.rank
-
-
 def fundamental(space: Space, i: int) -> Weight:
     if not 1 <= i <= space.rank:
         raise DomainError(f"fundamental weight index {i} out of range")

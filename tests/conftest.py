@@ -1,6 +1,6 @@
 """Shared builders: named example representations, the seeded
-generators of quivercoh.generate, dense matrix helpers that only the
-tests use, a reference Gauss-Jordan elimination in plain Fractions,
+generators of quivercoh.generate, dense matrix and weight helpers that
+only the tests use, a reference Gauss-Jordan elimination in plain Fractions,
 and an independent interval-splitting oracle for segment supports."""
 
 from __future__ import annotations
@@ -75,6 +75,15 @@ def reference_rank(rows, width):
 
 def zero_weight(space):
     return (0,) * space.rank
+
+
+def g_weight(space):
+    """Sum of the fundamental weights (all coordinates 1)."""
+    return (1,) * space.rank
+
+
+def wscale(c, w):
+    return tuple(c * a for a in w)
 
 
 def dual_euler_rep(space, arrow=1):

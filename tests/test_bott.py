@@ -10,7 +10,7 @@ from quivercoh import bott, cohomology, rootsys
 from quivercoh.bott import BottValue
 from quivercoh.errors import DomainError
 
-from conftest import GR13, GR14, P2, P3, P4
+from conftest import GR13, GR14, P2, P3, P4, g_weight, wscale
 
 GR25 = rootsys.space(2, 5)
 # ranks 6 and 7 give the longest eps vectors the oracle meets
@@ -21,7 +21,7 @@ from test_rootsys import d1_weights
 
 def bott_oracle(space, w):
     """Independent check: insertion sort with explicit swap counting."""
-    e = list(rootsys.to_eps(space, rootsys.wadd(w, rootsys.g_weight(space))))
+    e = list(rootsys.to_eps(space, rootsys.wadd(w, g_weight(space))))
     if len(set(e)) != len(e):
         return None
     swaps = 0
@@ -182,7 +182,7 @@ class TestMirrors:
                 _, q = m.box
                 coeff = sum(w[j] + 1 for j in range(q))
                 xi = rootsys.box_weight(P3, 1, q)
-                assert rootsys.wsub(m.target, w) == rootsys.wscale(coeff, xi)
+                assert rootsys.wsub(m.target, w) == wscale(coeff, xi)
                 assert m.steps == coeff
 
     def test_p2_rejects_blocked_wall(self):
@@ -209,7 +209,7 @@ class TestMirrors:
                 diff = rootsys.wsub(m.target, w)
                 xi = rootsys.box_weight(space, *m.box)
                 sign = 1 if m.up else -1
-                assert diff == rootsys.wscale(sign * m.steps, xi)
+                assert diff == wscale(sign * m.steps, xi)
                 key = bott.chamber_key(space, m.target)
                 assert key not in seen_chambers
                 seen_chambers.add(key)

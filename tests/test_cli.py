@@ -3,10 +3,22 @@ import json
 import pytest
 
 from quivercoh import cli, quiver, rootsys
-from quivercoh.cli import format_bundle_expr, main, parse_bundle_expr, parse_space
+from quivercoh.cli import main, parse_bundle_expr, parse_space
 from quivercoh.errors import ParseError
 
 from conftest import GR13, P2, adv_rep, dual_euler_rep
+
+
+def format_bundle_expr(shape: rootsys.BundleShape) -> str:
+    """The canonical expression of a shape, as parse_bundle_expr reads it."""
+    parts = []
+    if shape.alpha:
+        parts.append("S[" + ",".join(str(x) for x in shape.alpha) + "]U")
+    if shape.beta:
+        parts.append("S[" + ",".join(str(x) for x in shape.beta) + "]Q*")
+    if shape.t or not parts:
+        parts.append(f"O({shape.t})")
+    return " ".join(parts)
 
 
 class TestParsing:

@@ -46,6 +46,12 @@ CASES = {
     "twostep_no_rows": (["oracle", "twostep", "--partition", "2,1", "--m", "3"], 2),
     "twostep_one_row": (["oracle", "twostep", "--rows", "1"], 2),
     "relations_no_space": (["oracle", "relations", "--boxes", "1,1,2,2"], 2),
+    "bott_no_space": (["bott", "--weight", "0,0"], 2),
+    "steps_not_int": (["truncated", "--rep", "rep.json", "--steps", "x"], 2),
+    "weight_and_bundle": (["bott", "--space", "p:2", "--weight", "0,0", "--bundle", "O(1)"], 2),
+    "twostep_space": (["oracle", "twostep", "--rows", "1,2", "--space", "p:2"], 2),
+    "tangent_witness": (["stability", "tangent", "--rep", "rep.json", "--witness", "w.json"], 2),
+    "empty": ([], 2),
 }
 
 
@@ -129,6 +135,15 @@ def test_failed_internal_check_is_an_internal_error(workdir, monkeypatch, capsys
     assert main(["stability", "character", "--rep", "rep.json"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: first Chern class ") and err.count("\n") == 1
+
+
+def test_tangent_builds_no_character(workdir, monkeypatch, capsys):
+    def broken(rep):
+        raise InternalCheckError("no character wanted here")
+
+    monkeypatch.setattr(stability, "canonical_character", broken)
+    assert main(["stability", "tangent", "--rep", "rep.json"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_integer_matrix_still_accepted(capsys):

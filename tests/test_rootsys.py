@@ -10,7 +10,7 @@ from quivercoh import pieri, quiver, rootsys
 from quivercoh.errors import DomainError
 from quivercoh.rootsys import Space
 
-from conftest import GR13, GR24, P2, P3
+from conftest import GR13, GR24, P2, P3, g_weight
 
 SPACES = [P2, P3, GR13, GR24, rootsys.space(1, 4), rootsys.space(2, 5)]
 
@@ -105,7 +105,7 @@ class TestKilling:
 
     def test_g_pairs_to_one_with_every_simple_root(self):
         for space in SPACES:
-            g = rootsys.g_weight(space)
+            g = g_weight(space)
             for i in range(1, space.rank + 1):
                 assert rootsys.killing(space, g, rootsys.simple_root(space, i)) == 1
 
@@ -142,7 +142,7 @@ class TestReflect:
     def test_omega1_weights_are_roots(self):
         for space in SPACES:
             for phi in rootsys.omega1_weights(space):
-                rootsys.reflect(space, phi, rootsys.g_weight(space))
+                rootsys.reflect(space, phi, g_weight(space))
 
     def test_non_root_rejected(self):
         with pytest.raises(DomainError):
