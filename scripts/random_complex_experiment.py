@@ -13,18 +13,9 @@ Usage: python3 scripts/random_complex_experiment.py [--space gr:1,3]
 import argparse
 import random
 
-from quivercoh import cohomology, quiver, rootsys
+from quivercoh import cohomology, quiver
 from quivercoh.cli import parse_space
 from quivercoh.generate import random_rep
-
-
-def transpose_rep(rep):
-    """rep on Gr(n - k - 1, n): weights reversed, each box (p, q) read
-    as (q, p), matrices kept."""
-    space = rootsys.space(rep.space.n - rep.space.k - 1, rep.space.n)
-    vertices = [(v.weight[::-1], v.dim) for v in rep.vertices]
-    arrows = [(a.src, a.dst, a.box[::-1], a.matrix) for a in rep.arrows]
-    return quiver.make_rep(space, vertices, arrows)
 
 
 def main():
@@ -47,7 +38,7 @@ def main():
             table.euler_characteristic()
             == cohomology.graded_table(rep).euler_characteristic()
         )
-        transposed = cohomology.cohomology(transpose_rep(rep)).rows
+        transposed = cohomology.cohomology(quiver.transpose_rep(rep)).rows
         assert transposed == tuple(sorted(r._replace(nu=r.nu[::-1]) for r in table.rows))
         stats["vertices"] += len(rep.vertices)
         stats["arrows"] += len(rep.arrows)

@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quivercoh",
         description="cohomology of homogeneous bundles via quiver representations",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(required=True)
 
     def add(group, name, fn, help, space=False, weight=False, rep=False):
         p = group.add_parser(name, help=help)
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
 
     group = commands.add_parser("stability", help="characters and semistability")
-    group = group.add_subparsers(dest="stability_command", required=True)
+    group = group.add_subparsers(required=True)
     add(group, "character", cmd_character, "canonical character", rep=True)
     p = add(group, "witness", cmd_witness, "pair a subrepresentation with a character", rep=True)
     p.add_argument("--character", default="auto")
@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(group, "ex73", cmd_ex73, "invariants of the seven-vertex family", rep=True)
 
     group = commands.add_parser("oracle", help="independent coefficient oracle")
-    group = group.add_subparsers(dest="oracle_command", required=True)
+    group = group.add_subparsers(required=True)
     p = add(group, "twostep", cmd_twostep, "two-step Pieri coefficients")
     p.add_argument("--partition", default="")
     p.add_argument("--rows", required=True)

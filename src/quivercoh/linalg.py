@@ -6,11 +6,11 @@ primitive integer rows, reduced fraction-free.  An insert reduces a row
 only until its leading column holds no pivot, so the rows are kept in
 echelon form; basis() and back_reduce finish the reduction where rows
 are read.  rank and det insert a matrix's rows into one basis, rref
-back-reduces it, and nullspace and Solver read their answers off the
-reduced rows, scaled back to leading 1s.  Sparse rows, {column: value}
-dicts such as the cohomology engine's integer differentials, are ranked
-as they are by row_rank, multiplied by row_product and made dense by
-dense.
+back-reduces it, nullspace reads its answer off the reduced rows, and
+solve, the one exact solve, reads x off the back-reduced rows of
+[a | b].  Sparse rows, {column: value} dicts such as the cohomology
+engine's integer differentials, are ranked as they are by row_rank,
+multiplied by row_product and made dense by dense.
 """
 
 from __future__ import annotations
@@ -117,19 +117,18 @@ class SpanBasis:
 
     def __init__(self, width: int):
         self.width = width
-        self.pivots: list[int] = []
-        self._rows: dict[int, dict[int, int]] = {}
-        self._order: list[int] = []  # the pivots in insertion order
-        self._done = 0  # rows of _order[:_done] vanish at every earlier pivot
+        self._rows: dict[int, dict[int, int]] = {}  # by pivot, in insertion order
+        self._done = 0  # the first _done rows vanish at every earlier pivot
 
-    def _reduce(self, v: dict[int, int], pivots) -> int:
-        """Make v vanish at the given pivots in place; return the factor
-        v was scaled by."""
-        scale = 1
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    def _reduce(self, v: dict[int, int], pivots) -> None:
+        """Make v vanish at the given pivots in place."""
         for p in pivots:
             if v.get(p):
-                scale *= _eliminate(v, self._rows[p], p)
-        return scale
+                _eliminate(v, self._rows[p], p)
 
     def _keep(self, pivot: int, v: dict[int, int]) -> None:
         """Store v at its pivot, divided by its content, leading entry > 0."""
@@ -163,8 +162,6 @@ class SpanBasis:
             return None
         num = v[pivot]
         self._keep(pivot, v)
-        insort(self.pivots, pivot)
-        self._order.append(pivot)
         return pivot, num, scale
 
     def _finish(self) -> None:
@@ -173,13 +170,14 @@ class SpanBasis:
         of span(v, earlier rows) that vanishes at those pivots, v the
         vector inserted, so it is the row that reducing each insert at
         every pivot would have kept, entry for entry."""
-        earlier = sorted(self._order[: self._done])
-        for p in self._order[self._done :]:
+        order = list(self._rows)
+        earlier = sorted(order[: self._done])
+        for p in order[self._done :]:
             row = self._rows[p]
             self._reduce(row, earlier)
             self._keep(p, row)
             insort(earlier, p)
-        self._done = len(self._order)
+        self._done = len(order)
 
     def add(self, v) -> bool:
         """Insert a dense vector; True if it enlarged the span."""
@@ -188,16 +186,17 @@ class SpanBasis:
     def back_reduce(self) -> None:
         """Clear each pivot column in the other rows: the rows become the
         reduced row echelon form of the span, up to positive scalars."""
-        for i in reversed(range(len(self.pivots))):
-            p = self.pivots[i]
+        pivots = self.pivots
+        for i in reversed(range(len(pivots))):
+            p = pivots[i]
             row = self._rows[p]
-            self._reduce(row, self.pivots[i + 1 :])
+            self._reduce(row, pivots[i + 1 :])
             self._keep(p, row)
-        self._done = len(self._order)
+        self._done = len(pivots)
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
 
     def kernel(self) -> list[Vector]:
         """One vector per free column, that coordinate 1, orthogonal to
@@ -279,49 +278,23 @@ def nullspace(a: Matrix) -> list[Vector]:
     return _row_basis(map(_sparse, a), shape(a)[1]).kernel()
 
 
-class Solver:
-    """Solutions of a x = b for one matrix a and many right-hand sides.
-
-    The rows of [a | I] go into one SpanBasis, back-reduced once, so each
-    kept row is [R-row | E-row] with E a = R.  A row whose pivot p lies
-    inside a gives x[p] = (E-row . b) / lead, free coordinates zero; a
-    row whose pivot lies in the I part has R-row = 0, so its E-row is a
-    left-kernel vector of a, and b is solvable only if E-row . b = 0."""
-
-    def __init__(self, a: Matrix):
-        m, n = shape(a)
-        self.shape = m, n
-        basis = SpanBasis(n + m)
-        for i, row in enumerate(a):
-            v = _sparse(row)
-            v[n + i] = 1
-            basis.insert(v)
-        basis.back_reduce()
-        self._solved: list[tuple[int, int, list[tuple[int, int]]]] = []
-        self._checks: list[list[tuple[int, int]]] = []
-        for p, row in sorted(basis._rows.items()):
-            erow = [(j - n, x) for j, x in row.items() if j >= n]
-            if p < n:
-                self._solved.append((p, row[p], erow))
-            else:
-                self._checks.append(erow)
-
-    def __call__(self, b) -> Vector | None:
-        """One solution of a x = b (free coordinates zero), or None."""
-        m, n = self.shape
-        if len(b) != m:
-            raise ValueError(f"shape mismatch {m}x{n} matrix, right-hand side of length {len(b)}")
-        den = lcm(*(y.denominator for y in b))
-        ib = [y.numerator * (den // y.denominator) for y in b]
-        for erow in self._checks:
-            if sum(x * ib[i] for i, x in erow):
-                return None
-        out = [Fraction(0)] * n
-        for p, lead, erow in self._solved:
-            out[p] = Fraction(sum(x * ib[i] for i, x in erow), lead * den)
-        return tuple(out)
-
-
 def solve(a: Matrix, b) -> Vector | None:
-    """One solution of a x = b (free coordinates zero), or None."""
-    return Solver(a)(b)
+    """One solution of a x = b (free coordinates zero), or None if column
+    n of [a | b] holds a pivot; else x[p] is read off the back-reduced
+    row at each pivot p, whose first n columns are a row of rref(a)."""
+    m, n = shape(a)
+    if len(b) != m:
+        raise ValueError(f"shape mismatch {m}x{n} matrix, right-hand side of length {len(b)}")
+    basis = SpanBasis(n + 1)
+    for row, y in zip(a, b):
+        v = _sparse(row)
+        if y:
+            v[n] = frac(y)
+        basis.insert(v)
+    if n in basis._rows:
+        return None
+    basis.back_reduce()
+    x = [Fraction(0)] * n
+    for p, row in basis._rows.items():
+        x[p] = Fraction(row.get(n, 0), row[p])
+    return tuple(x)

@@ -161,7 +161,6 @@ class SchurRealization:
         self.basis = basis
         self.parents = parents
         self.weights = weights
-        self._expand_cache = {}
         self._op_cache = {}
 
     @property
@@ -181,30 +180,17 @@ class SchurRealization:
     def kappa(self) -> int:
         return 0
 
-    def basis_by_weight(self, w) -> list[int]:
-        return [i for i, bw in enumerate(self.weights) if bw == tuple(w)]
-
     def expand(self, vec: dict[int, Fraction], w) -> list[Fraction]:
         """Coordinates of an ambient vector of weight w in this basis
-        (zero for basis vectors of other weights); one solver per weight
-        space, built on first use."""
+        (zero for basis vectors of other weights): one solve over the
+        coordinates where vec or a basis vector of weight w is nonzero."""
         out = [Fraction(0)] * self.dim
         if not vec:
             return out
-        w = tuple(w)
-        if w not in self._expand_cache:
-            idxs = self.basis_by_weight(w)
-            support = sorted({i for j in idxs for i in self.basis[j]})
-            rows = [
-                [self.basis[j].get(i, Fraction(0)) for j in idxs] for i in support
-            ]
-            self._expand_cache[w] = (
-                idxs, support, linalg.Solver(mat(rows) if rows else ())
-            )
-        idxs, support, solver = self._expand_cache[w]
-        if any(vec[i] != 0 for i in vec.keys() - set(support)):
-            raise InternalCheckError("vector outside the realized module")
-        x = solver([vec.get(i, Fraction(0)) for i in support])
+        idxs = [j for j, bw in enumerate(self.weights) if bw == tuple(w)]
+        support = sorted(vec.keys() | {i for j in idxs for i in self.basis[j]})
+        rows = [[self.basis[j].get(i, Fraction(0)) for j in idxs] for i in support]
+        x = linalg.solve(mat(rows), [vec.get(i, Fraction(0)) for i in support])
         if x is None:
             raise InternalCheckError("vector outside the realized module")
         for j, c in zip(idxs, x):

@@ -368,9 +368,7 @@ def relation_plan(rep: QuiverRep) -> RelationPlan:
                     if mid is None:
                         continue
                     # every present middle vertex leads to the same target
-                    tgt = steps[mid].get(second)
-                    if tgt is None:
-                        break
+                    tgt = steps[mid][second]
                     num = coeff.numerator
                     if not num:
                         # 1/qt - 1/pt vanishes when pt = qt: the term
@@ -554,6 +552,16 @@ def twist_rep(rep: QuiverRep, t: int) -> QuiverRep:
     return _rep(rep.space, vertices, rep.arrows)
 
 
+def transpose_rep(rep: QuiverRep) -> QuiverRep:
+    """rep read on Gr(n - k - 1, n), the same Grassmannian as Gr(k, n):
+    every weight reversed, each box (p, q) read as (q, p), the arrows'
+    integer matrices kept."""
+    space = rootsys.space(rep.space.n - rep.space.k - 1, rep.space.n)
+    vertices = [(v.weight[::-1], v.dim) for v in rep.vertices]
+    arrows = [(a.src, a.dst, a.box[::-1], a.rows, a.den) for a in rep.arrows]
+    return _rep(space, vertices, arrows)
+
+
 def direct_sum(r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
     """Block-diagonal sum, r1 in the leading rows and columns."""
     if r1.space != r2.space:
@@ -612,25 +620,25 @@ def _subquotient(rep: QuiverRep, parts) -> QuiverRep:
     in basis; parts holds one (sub, basis) pair of vector lists per
     vertex, their spans arrow-closed.  Vertices with an empty basis are
     dropped."""
-    # coordinates in sub + basis, one elimination per kept vertex
-    solvers = {
-        i: linalg.Solver(linalg.transpose(mat(sub + basis)))
+    # coordinates in sub + basis: one solve per image against its columns
+    columns = {
+        i: linalg.transpose(mat(sub + basis))
         for i, (sub, basis) in enumerate(parts)
         if basis
     }
     arrows = []
     for a in rep.arrows:
-        if a.src not in solvers or a.dst not in solvers:
+        if a.src not in columns or a.dst not in columns:
             continue
         skip = len(parts[a.dst][0])
         cols = []
         for image in zip(*matmul(a.matrix, linalg.transpose(parts[a.src][1]))):
-            x = solvers[a.dst](image)
+            x = linalg.solve(columns[a.dst], image)
             if x is None:
                 raise InternalCheckError("spans are not arrow-closed")
             cols.append(x[skip:])
         arrows.append((rep.vertices[a.src].weight, a.box, linalg.transpose(cols)))
-    vertices = [(rep.vertices[i].weight, len(parts[i][1])) for i in solvers]
+    vertices = [(rep.vertices[i].weight, len(parts[i][1])) for i in columns]
     return make_rep(rep.space, vertices, arrows)
 
 

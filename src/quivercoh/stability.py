@@ -174,9 +174,7 @@ def path_semistable(rep: QuiverRep, ch: Character) -> bool:
     chain, box = _segment_support(rep, plan)
     weights = [rep.vertices[i].weight for i in chain]
     sigma = [ch.value(w) for w in weights]
-    for (s, t), mult in _intervals(rep, plan, chain, box).items():
-        if mult <= 0:
-            continue
+    for s, t in _intervals(rep, plan, chain, box):
         for u in range(s, t + 1):
             if sum(sigma[u : t + 1]) < 0:
                 return False

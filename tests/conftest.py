@@ -19,7 +19,12 @@ from quivercoh.generate import (  # noqa: F401  (re-exported to the tests)
     segment_rep,
 )
 from quivercoh.linalg import matmul, matvec
-from quivercoh.quiver import QuiverRep, make_rep, relation_plan
+from quivercoh.quiver import (  # noqa: F401  (transpose_rep re-exported to the tests)
+    QuiverRep,
+    make_rep,
+    relation_plan,
+    transpose_rep,
+)
 
 P1 = rootsys.space(0, 1)
 P2 = rootsys.space(0, 2)
@@ -135,16 +140,6 @@ def adv_rep():
             ((-1, 2), (1, 2), [[Fraction(2, 3)]]),
         ],
     )
-
-
-def transpose_rep(rep: QuiverRep) -> QuiverRep:
-    """rep read on Gr(n - k - 1, n), the same Grassmannian as Gr(k, n):
-    every weight reversed, each box (p, q) read as (q, p), every matrix
-    kept, built through the index form of make_rep."""
-    space = rootsys.space(rep.space.n - rep.space.k - 1, rep.space.n)
-    vertices = [(v.weight[::-1], v.dim) for v in rep.vertices]
-    arrows = [(a.src, a.dst, a.box[::-1], a.matrix) for a in rep.arrows]
-    return make_rep(space, vertices, arrows)
 
 
 def reversed_rows(table):

@@ -73,6 +73,25 @@ def test_rejected_with_one_line(case, workdir, capsys):
     assert err.startswith("error: ")
 
 
+COMMANDS = "bott,chambers,hasse,components,quiver-arrows,check,rescale,cohomology,truncated"
+
+
+@pytest.mark.parametrize(
+    "argv, choices",
+    [
+        ([], "{" + COMMANDS + ",stability,oracle}"),
+        (["stability"], "{character,witness,path,tangent,ex73}"),
+        (["oracle"], "{twostep,relations,p2}"),
+    ],
+)
+def test_bare_group_names_its_subcommands(argv, choices, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert choices in err
+    assert "_command" not in err
+
+
 def test_rejected_in_a_process_without_traceback(workdir):
     proc = subprocess.run(
         [sys.executable, "-m", "quivercoh.cli", *CASES["witness_list"][0]],

@@ -112,6 +112,9 @@ class TestRealize:
         e1_e1 = real.ambient.index[((1, 0), (1, 0))]
         with pytest.raises(InternalCheckError):
             real.expand({e1_e1: Fraction(1)}, (1, 1))
+        # and a vector of a weight that no basis vector has
+        with pytest.raises(InternalCheckError):
+            real.expand({e1_e1: Fraction(1)}, (2, 0))
 
 
 def _padded(a, m):
@@ -510,7 +513,7 @@ class MultMap:
         dim = real.dim * m
         if len(columns) != dim:
             raise InternalCheckError("summand dimensions do not fill the product")
-        self._solver = linalg.Solver(linalg.transpose(columns))
+        self._columns = linalg.transpose(columns)
         kappa_vec = [Fraction(0)] * dim
         kappa_vec[real.kappa * m + (row - 1)] = Fraction(1)
         raw = self._raw_apply(kappa_vec)
@@ -522,7 +525,7 @@ class MultMap:
         self._norm = norm
 
     def _raw_apply(self, vec) -> list[Fraction]:
-        x = self._solver(vec)
+        x = linalg.solve(self._columns, vec)
         if x is None:
             raise InternalCheckError("product vector outside the summand basis")
         return list(x[: self._target_dim])
